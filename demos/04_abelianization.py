@@ -2,8 +2,9 @@
 
 The abelianization of <x_0..x_{N-1} | x_a x_b x_c> is the cokernel of the
 exponent-sum matrix, computed exactly over the integers.  `snf` returns
-the full U*M*V = D factorization; `abelianization` uses a transform-free
-fast path that agrees with it.
+the full U*M*V = D factorization; `abelianization` first eliminates
+generators on +-1 pivots in a sparse copy of the matrix, then takes the
+transform-free invariant factors of the small core left, and agrees with it.
 """
 
 from tripres.abelian import AbelianGroup, abelianization, relation_matrix, snf

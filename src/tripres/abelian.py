@@ -4,12 +4,17 @@ Smith normal form is computed over Python ints (intermediate entries can
 exceed machine range even for small inputs), with a deterministic pivot
 rule: the nonzero entry of minimal absolute value, ties broken by smallest
 row then column.  `snf` tracks the unimodular transforms U, V with
-U*M*V = D; `invariant_factors` is the transform-free fast path used for
-abelianizations, where relator vectors are first reduced to a row basis.
+U*M*V = D; `invariant_factors` is the transform-free variant.
+
+`abelianization` first eliminates generators on +-1 pivots in a sparse
+copy of the relation matrix (Havas-Holt-Rees, "Recognizing badly presented
+Z-modules", 1993), so coefficients stay small, and hands the dense core
+that is left to `invariant_factors`.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
@@ -402,50 +407,75 @@ def relation_matrix(gp) -> list[list[int]]:
     return rows
 
 
-def _relator_rows(gp) -> list[list[int]]:
+def _relator_rows(gp) -> list[dict[int, int]]:
+    """Sparse exponent-sum rows ``{generator index: coefficient}``, no empty rows."""
     rows = []
     for relator in gp.relators:
-        row = [0] * gp.num_generators
+        row: dict[int, int] = {}
         for letter in relator:
             idx = abs(letter) - 1
-            row[idx] += 1 if letter > 0 else -1
-        rows.append(row)
+            c = row.get(idx, 0) + (1 if letter > 0 else -1)
+            if c:
+                row[idx] = c
+            else:
+                del row[idx]
+        if row:
+            rows.append(row)
     return rows
 
 
-def _row_space_basis(vectors: list[list[int]], n: int) -> list[list[int]]:
-    """Incremental row reduction; returns a triangular generating set."""
-    pivot_of_col: dict[int, int] = {}
-    basis: list[list[int]] = []
-    for vec in vectors:
-        vec = list(vec)
-        j = 0
-        while j < n:
-            if not vec[j]:
-                j += 1
-                continue
-            k = pivot_of_col.get(j)
-            if k is None:
-                pivot_of_col[j] = len(basis)
-                basis.append(vec)
-                break
-            row = basis[k]
-            a, b = row[j], vec[j]
-            if b % a == 0:
-                qt = b // a
-                vec = [x - qt * y for x, y in zip(vec, row)]
-            else:
-                x, y, g = xgcd(a, b)
-                basis[k] = [x * u_ + y * w for u_, w in zip(row, vec)]
-                vec = [-(b // g) * u_ + (a // g) * w for u_, w in zip(row, vec)]
-            j += 1
-    return basis
-
-
 def abelianization(gp) -> AbelianGroup:
-    """Cokernel of the relation matrix: free rank plus torsion divisors."""
-    n = gp.num_generators
-    basis = _row_space_basis(_relator_rows(gp), n)
-    factors = invariant_factors(basis) if basis else ()
-    rank = n - len(factors)
+    """Cokernel of the relation matrix: free rank plus torsion divisors.
+
+    Generators with a +-1 coefficient are eliminated first (a Tietze move,
+    so the cokernel is unchanged); the pivot is taken in the live column
+    with fewest rows, from its shortest row with a unit entry, ties by
+    index.  What remains is a narrow dense core for `invariant_factors`.
+    """
+    rows = dict(enumerate(_relator_rows(gp)))
+    cols: dict[int, set[int]] = {}
+    for i, row in rows.items():
+        for j in row:
+            cols.setdefault(j, set()).add(i)
+    # lazy heap of (row count, column); an entry is stale once the count
+    # changes, and a column without a unit entry is only pushed again when
+    # a later elimination touches it
+    heap = [(len(rs), j) for j, rs in cols.items()]
+    heapq.heapify(heap)
+    eliminated = 0
+    while heap:
+        count, j = heapq.heappop(heap)
+        col = cols.get(j)
+        if col is None or len(col) != count:
+            continue
+        units = [i for i in col if rows[i][j] in (1, -1)]
+        if not units:
+            continue
+        pivot = min(units, key=lambda i: (len(rows[i]), i))
+        prow = rows.pop(pivot)
+        for k in prow:
+            cols[k].discard(pivot)
+        for i in list(col):
+            row = rows[i]
+            f = row[j] * prow[j]
+            for k, v in prow.items():
+                c = row.get(k, 0) - f * v
+                if c:
+                    if k not in row:
+                        cols[k].add(i)
+                    row[k] = c
+                else:
+                    del row[k]
+                    cols[k].discard(i)
+            if not row:
+                del rows[i]
+        del cols[j]
+        eliminated += 1
+        for k in prow:
+            if k != j:
+                heapq.heappush(heap, (len(cols[k]), k))
+    core_cols = sorted(j for j, rs in cols.items() if rs)
+    core = [[rows[i].get(j, 0) for j in core_cols] for i in sorted(rows)]
+    factors = invariant_factors(core) if core else ()
+    rank = gp.num_generators - eliminated - len(factors)
     return AbelianGroup.from_invariant_factors(factors, rank=rank)

@@ -586,9 +586,13 @@ def presentation_from_text(text: str) -> TrianglePresentation:
     for key in ("q", "N", "a", "b"):
         if key not in header:
             raise PresentationFormatError(f"missing header line {key}=...")
-    n = header["N"]
+    q, n = header["q"], header["N"]
+    if n != q * q + q + 1:
+        raise PresentationFormatError(
+            f"header N={n} does not match q={q}: expected N = q^2+q+1 = {q * q + q + 1}"
+        )
     p = TrianglePresentation(
-        q=header["q"],
+        q=q,
         n=n,
         corr=Correspondence(header["a"] % n, header["b"] % n, header.get("scale", 1) % n),
         triples=frozenset(

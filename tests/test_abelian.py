@@ -231,9 +231,83 @@ def test_abelianization_invariant_under_relator_moves():
 def test_all_catalog_groups_are_finite():
     # every constructed presentation in scope has rank-0 abelianization
     from tripres.catalog import invariant_catalog
+    from tripres.gf import SUPPORTED_Q
 
-    for q in (2, 3, 4, 5, 7, 8, 9, 11):
+    for q in SUPPORTED_Q:
         for orbit in invariant_catalog(q):
             assert orbit.base.rank == 0
             assert orbit.twist_q.rank == 0
             assert orbit.twist_q2.rank == 0
+    assert len(invariant_catalog(13)) == 48
+
+
+def _sympy_group(gp):
+    """Independent oracle: sympy's invariant factors of the relation matrix.
+
+    sympy is a declared test dependency; a missing sympy fails here.
+    """
+    from sympy import ZZ, Matrix
+    from sympy.matrices.normalforms import invariant_factors as sympy_factors
+
+    from tripres.abelian import relation_matrix
+
+    factors = [int(d) for d in sympy_factors(Matrix(relation_matrix(gp)), domain=ZZ) if d]
+    return AbelianGroup.from_invariant_factors(factors, rank=gp.num_generators - len(factors))
+
+
+def _assert_matches_sympy(gp):
+    from tripres.abelian import abelianization
+
+    g, want = abelianization(gp), _sympy_group(gp)
+    assert (g.rank, g.divisors) == (want.rank, want.divisors), gp
+
+
+def test_abelianization_matches_sympy_on_small_catalogs():
+    from tripres.catalog import _fixed_representative
+    from tripres.plane import build_plane
+    from tripres.presentations import enumerate_all_invariant, group_presentation, twist_multiplier
+
+    checked = 0
+    for q in (2, 3, 4, 5):
+        plane = build_plane(q)
+        for cls in enumerate_all_invariant(plane):
+            rep = _fixed_representative(cls, plane)
+            for k in range(3):
+                _assert_matches_sympy(group_presentation(twist_multiplier(rep, k) if k else rep))
+                checked += 1
+    assert checked == 36
+
+
+def _random_relators(rng, n, shape):
+    gens = range(1, n + 1)
+    if shape == "letters":
+        # free 3-letter relators plus cubes like (3, 3, 3)
+        rels = [tuple(rng.choice(gens) * rng.choice((1, -1)) for _ in range(3))
+                for _ in range(rng.randint(1, n + 2))]
+        rels += [(g,) * 3 for g in rng.sample(gens, rng.randint(0, n))]
+        return rels
+    if shape == "nonunit":
+        # every exponent sum is +-2 or +-3: no unit pivot, all of it goes to the dense core
+        rels = []
+        for _ in range(rng.randint(1, n + 2)):
+            rel = []
+            for g in rng.sample(gens, rng.randint(1, min(3, n))):
+                rel += [g * rng.choice((1, -1))] * rng.choice((2, 3))
+            rels.append(tuple(rel))
+        return rels
+    # "cancelling": relators whose letters cancel to an empty row, among 3-letter ones
+    rels = [tuple(rng.choice(gens) * rng.choice((1, -1)) for _ in range(3))
+            for _ in range(rng.randint(0, n))]
+    for _ in range(rng.randint(1, 3)):
+        a, b = rng.choice(gens), rng.choice(gens)
+        rels.append(rng.choice([(a, -a), (a, b, -a, -b), (-a, a, a, -a)]))
+    rng.shuffle(rels)
+    return rels
+
+
+def test_abelianization_matches_sympy_on_random_relators():
+    rng = random.Random(20261018)
+    for shape in ("letters", "nonunit", "cancelling"):
+        for _ in range(60):
+            n = rng.randint(1, 6)
+            _assert_matches_sympy(_gp(n, _random_relators(rng, n, shape)))

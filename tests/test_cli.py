@@ -1,3 +1,5 @@
+import pytest
+
 from tripres.cli import main
 
 
@@ -86,6 +88,16 @@ def test_corrupt_presentation_file(capsys, tmp_path):
     code, _, err = run(capsys, "abelianize", "--in", str(bad))
     assert code == 2
     assert "not a triangle presentation" in err
+
+
+@pytest.mark.parametrize("n", [0, 8])
+def test_header_n_mismatch_is_a_format_error(capsys, tmp_path, n):
+    bad = tmp_path / "bad.tp"
+    bad.write_text(f"q=2\nN={n}\na=1\nb=0\n0 1 3\n")
+    code, _, err = run(capsys, "abelianize", "--in", str(bad))
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert f"N={n}" in err and "= 7" in err
 
 
 def test_missing_file(capsys):
