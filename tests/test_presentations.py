@@ -1,8 +1,11 @@
+import hashlib
 import itertools
 
 import pytest
 
 from tripres.abelian import abelianization, iso_equal
+from tripres.catalog import key_digest
+from tripres.gf import SUPPORTED_Q
 from tripres.plane import build_plane
 from tripres.presentations import (
     Correspondence,
@@ -134,6 +137,30 @@ def test_enumerate_all_q2_q3():
             assert str(abelianization(group_presentation(c.representative))) == gamma
         # the two classes are each other's generator-inverse partners
         assert [c.inverse_index for c in classes] == [1, 0]
+
+
+# q -> (class count, sha256 of the space-joined key_digest list), in
+# enumeration order; taken from the full-scan canonical form.
+PINNED_CLASS_KEYS = {
+    2: (2, "1a367528cec4f13ec66eacf17870b2992c42a5c9fa09890664d245edd0ff0eb5"),
+    3: (2, "cdc1bd090e0b98d33736e3f9f214d9b068d2ac423970643cd0a8e0261abba793"),
+    4: (4, "7f05e1c76c8f897cd119eb27d26d158154de7cd3662c149c383862bd63806ba8"),
+    5: (4, "6669b311cfebbe1b6f246e3c4054d70a9582fc2f382a3ffcef46c3994f9d4617"),
+    7: (12, "3fd8411904bb8f0964135da9573770cf855ed8bbe8520b67315e28b27d1c8c3f"),
+    8: (4, "dde006288bbe97250babd27769c05351d70524b935f8f0af3afe11ee2c31c0e0"),
+    9: (6, "1f703c54db9453b4ddf02e52acbb01d832fddd5d5a33edca6ce9cbb7e52e6920"),
+    11: (16, "ee14b71760fed1989241f3ce781c5d82aab1bb5342843fd6517c8baed167f597"),
+    13: (48, "2593c86b054d11f4fe4f96a52a5bb8425676bd6440fb75a9eba22381254dfb54"),
+}
+
+
+def test_class_key_digests_pinned():
+    assert sorted(PINNED_CLASS_KEYS) == sorted(SUPPORTED_Q)
+    for q in SUPPORTED_Q:
+        classes = enumerate_all_invariant(build_plane(q))
+        blob = " ".join(key_digest(c.canonical_key) for c in classes)
+        got = (len(classes), hashlib.sha256(blob.encode()).hexdigest())
+        assert got == PINNED_CLASS_KEYS[q], f"q={q}"
 
 
 def test_canonical_form_affine_invariance():
