@@ -475,7 +475,12 @@ def abelianization(gp) -> AbelianGroup:
             if k != j:
                 heapq.heappush(heap, (len(cols[k]), k))
     core_cols = sorted(j for j, rs in cols.items() if rs)
-    core = [[rows[i].get(j, 0) for j in core_cols] for i in sorted(rows)]
-    factors = invariant_factors(core) if core else ()
+    # a row, its negative and its repeats span the same lattice, so each
+    # core row is kept once with its first nonzero entry positive
+    core = set()
+    for row in rows.values():
+        v = tuple(row.get(j, 0) for j in core_cols)
+        core.add(v if next(c for c in v if c) > 0 else tuple(-c for c in v))
+    factors = invariant_factors(sorted(core)) if core else ()
     rank = gp.num_generators - eliminated - len(factors)
     return AbelianGroup.from_invariant_factors(factors, rank=rank)

@@ -27,7 +27,7 @@ TWIST_TAGS = ("base", "q", "q2")
 
 def key_digest(canonical_key) -> str:
     """Short stable digest of a canonical triple list, used in label files."""
-    blob = ";".join(",".join(map(str, t)) for t in canonical_key).encode()
+    blob = ";".join(map("%d,%d,%d".__mod__, canonical_key)).encode()
     return hashlib.sha256(blob).hexdigest()[:12]
 
 

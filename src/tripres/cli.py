@@ -302,7 +302,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (PresentationFormatError, FileNotFoundError, ValueError) as err:
+    except (PresentationFormatError, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

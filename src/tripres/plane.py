@@ -34,10 +34,6 @@ class SingerPlane:
         n = self.n_points
         return tuple(sorted((d + line) % n for d in self.difference_set))
 
-    def lines_through(self, point: int) -> tuple[int, ...]:
-        n = self.n_points
-        return tuple(sorted((point - d) % n for d in self.difference_set))
-
     def __repr__(self) -> str:
         return f"SingerPlane(q={self.q}, N={self.n_points}, D={list(self.difference_set)})"
 

@@ -417,28 +417,25 @@ def classify_central_forms(p: TrianglePresentation) -> frozenset[str]:
 def canonical_form(p: TrianglePresentation) -> tuple[Triple, ...]:
     """Lex-least sorted triple list over all affine relabelings j -> r*j + s.
 
+    Defined for cyclically invariant presentations only; any other input
+    raises ValueError.  Translations fix an invariant triple set, so only
+    the scalings j -> r*j by units r need to be scanned, and each scaled
+    copy is invariant again.  An invariant set is determined by its x=0
+    block {(0, y, z)}, which also heads its sorted triple list; all scaled
+    copies have blocks of the same size, so two of them compare the way
+    their sorted x=0 blocks do.  The scan therefore sorts q+1 pairs per
+    unit and builds the full sorted list once, for the winning unit.
+
     Generator inversion is deliberately *not* part of the reduction group:
     an invariant presentation and its inverse define distinct catalog
     entries even though their groups are isomorphic.
     """
+    if not is_singer_invariant(p):
+        raise ValueError("canonical form is defined for cyclically invariant presentations")
     n = p.n
-    base = sorted(p.triples)
-    shifts: tuple[int, ...]
-    if is_singer_invariant(p):
-        shifts = (0,)  # translations fix the triple set
-    else:
-        shifts = tuple(range(n))
-    best = None
-    for r in _units(n):
-        scaled = [((r * x) % n, (r * y) % n, (r * z) % n) for x, y, z in base]
-        for s in shifts:
-            if s:
-                cand = tuple(sorted(((x + s) % n, (y + s) % n, (z + s) % n) for x, y, z in scaled))
-            else:
-                cand = tuple(sorted(scaled))
-            if best is None or cand < best:
-                best = cand
-    return best
+    block = [(y, z) for x, y, z in p.triples if x == 0]
+    r = min(_units(n), key=lambda r: sorted(((r * y) % n, (r * z) % n) for y, z in block))
+    return tuple(sorted(((r * x) % n, (r * y) % n, (r * z) % n) for x, y, z in p.triples))
 
 
 def _orbit_key(q: int, n: int, b: int, sigma: SigmaCycle):

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from tripres.cli import main
@@ -145,3 +150,32 @@ def test_output_deterministic(capsys):
     _, out1, _ = run(capsys, "enumerate", "--q", "3", "--all")
     _, out2, _ = run(capsys, "enumerate", "--q", "3", "--all")
     assert out1 == out2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("abelianize", "--in", "{dir}"),
+        ("enumerate", "--q", "2", "--all", "--labels", "{dir}"),
+        ("verify", "--q", "2", "--data", "{dir}"),
+    ],
+    ids=["abelianize-in", "enumerate-labels", "verify-data"],
+)
+def test_directory_argument_is_an_input_error(capsys, tmp_path, argv):
+    code, _, err = run(capsys, *(a.format(dir=tmp_path) for a in argv))
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    res = subprocess.run(
+        [sys.executable, "-m", "tripres", "plane", "--q", "2"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=60,
+    )
+    assert res.returncode == 0, res.stderr
+    assert "D(q=2,N=7) = 1 2 4" in res.stdout

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+from math import gcd
 
 import pytest
 
@@ -161,6 +162,39 @@ def test_class_key_digests_pinned():
         blob = " ".join(key_digest(c.canonical_key) for c in classes)
         got = (len(classes), hashlib.sha256(blob.encode()).hexdigest())
         assert got == PINNED_CLASS_KEYS[q], f"q={q}"
+
+
+def full_scan_canonical_form(p):
+    """Oracle: the lex-least sorted triple list over every unit scaling.
+
+    Translations fix an invariant triple set, so for invariant input this
+    covers every affine relabeling.
+    """
+    n = p.n
+    return min(
+        tuple(sorted(((r * x) % n, (r * y) % n, (r * z) % n) for x, y, z in p.triples))
+        for r in range(1, n)
+        if gcd(r, n) == 1
+    )
+
+
+def test_canonical_form_matches_full_scan():
+    for q in (q for q in SUPPORTED_Q if q <= 7):
+        n = build_plane(q).n_points
+        for c in enumerate_all_invariant(build_plane(q)):
+            rep = c.representative
+            inv = invert_generators(rep)
+            want = full_scan_canonical_form(rep)
+            assert canonical_form(rep) == want, f"q={q} {rep}"
+            assert canonical_form(inv) == full_scan_canonical_form(inv), f"q={q} {inv}"
+            # r*T lies in the unit orbit of T, so its full scan is `want` too
+            for r in range(2, n):
+                if gcd(r, n) == 1:
+                    moved = relabel(rep, r, 1)
+                    if moved.corr.plane_scale != 1:
+                        assert canonical_form(moved) == want, f"q={q} r={r} {rep}"
+    with pytest.raises(ValueError):
+        canonical_form(twist_multiplier(fano_presentation(), 1))
 
 
 def test_canonical_form_affine_invariance():
