@@ -179,9 +179,10 @@ def full_scan_canonical_form(p):
 
 
 def test_canonical_form_matches_full_scan():
-    for q in (q for q in SUPPORTED_Q if q <= 7):
-        n = build_plane(q).n_points
-        for c in enumerate_all_invariant(build_plane(q)):
+    for q in (2, 3, 4, 5, 7):
+        plane = build_plane(q)
+        n = plane.n_points
+        for c in enumerate_all_invariant(plane):
             rep = c.representative
             inv = invert_generators(rep)
             want = full_scan_canonical_form(rep)
