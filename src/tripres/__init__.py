@@ -16,7 +16,6 @@ from .abelian import (
     direct_double,
     invariant_factors,
     iso_equal,
-    primary_part,
     relation_matrix,
     snf,
 )
@@ -45,7 +44,6 @@ from .presentations import (
     extended_presentation,
     group_presentation,
     invert_generators,
-    is_axiom_valid,
     is_multiplier_fixed,
     is_singer_invariant,
     presentation_from_text,

@@ -1,10 +1,12 @@
 """Exact integer linear algebra and abelianization of group presentations.
 
 Smith normal form is computed over Python ints (intermediate entries can
-exceed machine range even for small inputs), with a deterministic pivot
-rule: the nonzero entry of minimal absolute value, ties broken by smallest
-row then column.  `snf` tracks the unimodular transforms U, V with
-U*M*V = D; `invariant_factors` is the transform-free variant.
+exceed machine range even for small inputs) by one elimination core with a
+deterministic pivot rule: the nonzero entry of minimal absolute value, ties
+broken by smallest row then column.  `invariant_factors` runs the core on
+the bare matrix; `snf` runs it on the matrix augmented by identity blocks,
+[M | I] over [I | 0], so the same row and column moves build the
+unimodular U and V with U*M*V = D.
 
 `abelianization` first eliminates generators on +-1 pivots in a sparse
 copy of the relation matrix (Havas-Holt-Rees, "Recognizing badly presented
@@ -17,7 +19,8 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd
+
+from .gf import factorize
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -77,103 +80,103 @@ def _find_pivot(a: list[list[int]], t: int, m: int, n: int):
     return best
 
 
+def _combine_rows(a, i1, i2, c11, c12, c21, c22) -> None:
+    r1, r2 = a[i1], a[i2]
+    a[i1] = [c11 * x + c12 * y for x, y in zip(r1, r2)]
+    a[i2] = [c21 * x + c22 * y for x, y in zip(r1, r2)]
+
+
+def _combine_cols(a, j1, j2, c11, c12, c21, c22) -> None:
+    for row in a:
+        x, y = row[j1], row[j2]
+        row[j1] = c11 * x + c12 * y
+        row[j2] = c21 * x + c22 * y
+
+
+def _negate_if_negative(a, i) -> None:
+    if a[i][i] < 0:
+        a[i] = [-x for x in a[i]]
+
+
+def _smith(a: list[list[int]], m: int, n: int) -> None:
+    """Bring the leading m x n block of the rows `a` to Smith form in place.
+
+    Row moves act on whole rows and column moves on every row, so identity
+    blocks appended to the right of and below the block record U and V.
+    """
+    t = 0
+    while (piv := _find_pivot(a, t, m, n)) is not None:
+        pi, pj = piv
+        if pi != t:
+            a[t], a[pi] = a[pi], a[t]
+        if pj != t:
+            for row in a:
+                row[t], row[pj] = row[pj], row[t]
+        while True:
+            # clear column t below the pivot
+            for i in range(t + 1, m):
+                r = a[i][t]
+                if r:
+                    p = a[t][t]
+                    if r % p == 0:
+                        qt = r // p
+                        a[i] = [x - qt * y for x, y in zip(a[i], a[t])]
+                    else:
+                        x, y, g = xgcd(p, r)
+                        _combine_rows(a, t, i, x, y, -(r // g), p // g)
+            # clear row t right of the pivot
+            dirty = False
+            for j in range(t + 1, n):
+                r = a[t][j]
+                if r:
+                    p = a[t][t]
+                    if r % p == 0:
+                        qt = r // p
+                        for row in a:
+                            row[j] -= qt * row[t]
+                    else:
+                        x, y, g = xgcd(p, r)
+                        _combine_cols(a, t, j, x, y, -(r // g), p // g)
+                        dirty = True
+            if not dirty and not any(a[i][t] for i in range(t + 1, m)):
+                break
+        t += 1
+
+    size = min(m, n)
+    for i in range(size):
+        _negate_if_negative(a, i)
+    # enforce the divisor chain: put d_{i+1} next to d_i by a row move,
+    # replace the pair by gcd and lcm, and clear the stray entry
+    changed = True
+    while changed:
+        changed = False
+        for i in range(size - 1):
+            di, dj = a[i][i], a[i + 1][i + 1]
+            if di and dj and dj % di:
+                _combine_rows(a, i, i + 1, 1, 1, 0, 1)
+                x, y, g = xgcd(di, dj)
+                _combine_cols(a, i, i + 1, x, y, -(dj // g), di // g)
+                rr = a[i + 1][i]
+                if rr:
+                    _combine_rows(a, i, i + 1, 1, 0, -(rr // a[i][i]), 1)
+                _negate_if_negative(a, i)
+                _negate_if_negative(a, i + 1)
+                changed = True
+
+
 def snf(matrix) -> SNFResult:
     """Smith normal form with unimodular transforms, deterministic."""
     a = [[int(x) for x in row] for row in matrix]
     m = len(a)
     n = len(a[0]) if m else 0
-    u = [[int(i == j) for j in range(m)] for i in range(m)]
-    v = [[int(i == j) for j in range(n)] for i in range(n)]
-
-    def row_op(i1, i2, c11, c12, c21, c22):
-        for mat in (a, u):
-            r1, r2 = mat[i1], mat[i2]
-            mat[i1] = [c11 * x + c12 * y for x, y in zip(r1, r2)]
-            mat[i2] = [c21 * x + c22 * y for x, y in zip(r1, r2)]
-
-    def col_op(j1, j2, c11, c12, c21, c22):
-        for mat in (a, v):
-            for row in mat:
-                x, y = row[j1], row[j2]
-                row[j1] = c11 * x + c12 * y
-                row[j2] = c21 * x + c22 * y
-
-    t = 0
-    while True:
-        piv = _find_pivot(a, t, m, n)
-        if piv is None:
-            break
-        pi, pj = piv
-        if pi != t:
-            a[t], a[pi] = a[pi], a[t]
-            u[t], u[pi] = u[pi], u[t]
-        if pj != t:
-            for mat in (a, v):
-                for row in mat:
-                    row[t], row[pj] = row[pj], row[t]
-        while True:
-            # clear column t below the pivot
-            for i in range(t + 1, m):
-                if a[i][t]:
-                    p = a[t][t]
-                    r = a[i][t]
-                    if r % p == 0:
-                        row_op(t, i, 1, 0, -(r // p), 1)
-                    else:
-                        x, y, g = xgcd(p, r)
-                        row_op(t, i, x, y, -(r // g), p // g)
-            # clear row t right of the pivot
-            dirty = False
-            for j in range(t + 1, n):
-                if a[t][j]:
-                    p = a[t][t]
-                    r = a[t][j]
-                    if r % p == 0:
-                        col_op(t, j, 1, 0, -(r // p), 1)
-                    else:
-                        x, y, g = xgcd(p, r)
-                        col_op(t, j, x, y, -(r // g), p // g)
-                        dirty = True
-            if not any(a[i][t] for i in range(t + 1, m)):
-                if not dirty:
-                    break
-        t += 1
-
-    # fix signs
-    for i in range(min(m, n)):
-        if a[i][i] < 0:
-            a[i] = [-x for x in a[i]]
-            u[i] = [-x for x in u[i]]
-
-    # enforce the divisor chain
-    r = min(m, n)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(r - 1):
-            di, dj = a[i][i], a[i + 1][i + 1]
-            if dj and di and dj % di != 0:
-                # put dj next to di via a row move, then re-clear the 2x2
-                row_op(i, i + 1, 1, 1, 0, 1)
-                x, y, g = xgcd(di, dj)
-                col_op(i, i + 1, x, y, -(dj // g), di // g)
-                # the block is now [[g, 0], [?, lcm]]; clear the stray entry
-                if a[i + 1][i]:
-                    p = a[i][i]
-                    rr = a[i + 1][i]
-                    row_op(i, i + 1, 1, 0, -(rr // p), 1)
-                if a[i][i] < 0:
-                    a[i] = [-x2 for x2 in a[i]]
-                    u[i] = [-x2 for x2 in u[i]]
-                if a[i + 1][i + 1] < 0:
-                    a[i + 1] = [-x2 for x2 in a[i + 1]]
-                    u[i + 1] = [-x2 for x2 in u[i + 1]]
-                changed = True
-
+    # [M | I_m] over [I_n | 0]: U builds up to the right of M, V below it
+    a = [row + [int(i == k) for k in range(m)] for i, row in enumerate(a)]
+    a += [[int(i == k) for k in range(n)] + [0] * m for i in range(n)]
+    _smith(a, m, n)
     return SNFResult(
-        u=tuple(tuple(row) for row in u),
-        d=tuple(tuple(row) for row in a),
-        v=tuple(tuple(row) for row in v),
+        u=tuple(tuple(row[n:]) for row in a[:m]),
+        d=tuple(tuple(row[:n]) for row in a[:m]),
+        v=tuple(tuple(row[:n]) for row in a[m:]),
     )
 
 
@@ -182,60 +185,8 @@ def invariant_factors(matrix) -> tuple[int, ...]:
     a = [[int(x) for x in row] for row in matrix]
     m = len(a)
     n = len(a[0]) if m else 0
-    t = 0
-    while True:
-        piv = _find_pivot(a, t, m, n)
-        if piv is None:
-            break
-        pi, pj = piv
-        if pi != t:
-            a[t], a[pi] = a[pi], a[t]
-        if pj != t:
-            for row in a:
-                row[t], row[pj] = row[pj], row[t]
-        while True:
-            for i in range(t + 1, m):
-                if a[i][t]:
-                    p = a[t][t]
-                    r = a[i][t]
-                    if r % p == 0:
-                        qt = r // p
-                        rt = a[t]
-                        a[i] = [x - qt * y for x, y in zip(a[i], rt)]
-                    else:
-                        x, y, g = xgcd(p, r)
-                        rt, ri = a[t], a[i]
-                        a[t] = [x * u_ + y * w for u_, w in zip(rt, ri)]
-                        a[i] = [-(r // g) * u_ + (p // g) * w for u_, w in zip(rt, ri)]
-            dirty = False
-            for j in range(t + 1, n):
-                if a[t][j]:
-                    p = a[t][t]
-                    r = a[t][j]
-                    if r % p == 0:
-                        qt = r // p
-                        for row in a:
-                            row[j] -= qt * row[t]
-                    else:
-                        x, y, g = xgcd(p, r)
-                        for row in a:
-                            cx, cy = row[t], row[j]
-                            row[t] = x * cx + y * cy
-                            row[j] = -(r // g) * cx + (p // g) * cy
-                        dirty = True
-            if not any(a[i][t] for i in range(t + 1, m)):
-                if not dirty:
-                    break
-        t += 1
-
-    diag = [abs(a[i][i]) for i in range(min(m, n)) if a[i][i]]
-    # enforce divisibility by gcd/lcm exchanges
-    for i in range(len(diag)):
-        for j in range(i + 1, len(diag)):
-            if diag[j] % diag[i]:
-                g = gcd(diag[i], diag[j])
-                diag[i], diag[j] = g, diag[i] * diag[j] // g
-    return tuple(diag)
+    _smith(a, m, n)
+    return tuple(a[i][i] for i in range(min(m, n)) if a[i][i])
 
 
 def determinant(matrix) -> int:
@@ -264,19 +215,6 @@ def determinant(matrix) -> int:
 
 # ---------------------------------------------------------------------------
 # Finitely generated abelian groups
-
-
-def _factorize(n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
 
 
 @dataclass(frozen=True)
@@ -309,7 +247,7 @@ class AbelianGroup:
         """Build the divisor chain from a multiset of prime powers."""
         by_prime: dict[int, list[int]] = {}
         for pk in primaries:
-            fac = _factorize(pk)
+            fac = factorize(pk)
             if len(fac) != 1:
                 raise ValueError(f"{pk} is not a prime power")
             (p, e), = fac.items()
@@ -335,7 +273,7 @@ class AbelianGroup:
         """Prime powers sorted by (prime, exponent); the canonical form."""
         parts = []
         for d in self.divisors:
-            for p, e in _factorize(d).items():
+            for p, e in factorize(d).items():
                 parts.append((p, e))
         parts.sort()
         return tuple(p ** e for p, e in parts)
@@ -372,13 +310,6 @@ class AbelianGroup:
 
 def iso_equal(g: AbelianGroup, h: AbelianGroup) -> bool:
     return g.rank == h.rank and g.primary_factors == h.primary_factors
-
-
-def primary_part(g: AbelianGroup, p: int) -> AbelianGroup:
-    """Keep only the p-power factors (free part dropped)."""
-    return AbelianGroup.from_primary(
-        [pk for pk in g.primary_factors if pk % p == 0], rank=0
-    )
 
 
 def away_from(g: AbelianGroup, p: int) -> AbelianGroup:

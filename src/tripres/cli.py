@@ -95,6 +95,7 @@ def cmd_plane(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    labels = _load_labels(args.labels)
     plane = build_plane(args.q)
     print(_header(args.q))
     if not args.all_shifts:
@@ -106,7 +107,6 @@ def cmd_enumerate(args) -> int:
             sys.stdout.write(presentation_to_text(p))
         return 0
     classes = enumerate_all_invariant(plane)
-    labels = _load_labels(args.labels)
     print(f"q={args.q} N={plane.n_points} classes={len(classes)}")
     for c in classes:
         b0, sigma0 = c.members[0]
@@ -188,6 +188,7 @@ def cmd_abelianize(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    labels = _load_labels(args.labels)
     ds = load_dataset(args.data)
     qs = ds.qs() if args.all_q else (args.q,)
     if not args.all_q and args.q not in ds.qs():
@@ -195,7 +196,6 @@ def cmd_verify(args) -> int:
         return 2
     computed = computed_mapping(qs)
     report = verify_abelianizations(ds, computed, qs=qs)
-    labels = _load_labels(args.labels)
     print(_header())
     for sec in report.sections:
         catalog = {o.index: o for o in invariant_catalog(sec.q)}

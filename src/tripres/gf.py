@@ -21,6 +21,20 @@ from functools import lru_cache
 SUPPORTED_Q = (2, 3, 4, 5, 7, 8, 9, 11, 13)
 
 
+def factorize(n: int) -> dict[int, int]:
+    """Prime factorization {prime: exponent} of n by trial division, primes ascending."""
+    out: dict[int, int] = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
 @dataclass(frozen=True)
 class PrimePower:
     """A supported prime power q = p^e."""
@@ -30,7 +44,7 @@ class PrimePower:
     q: int
 
     def __post_init__(self) -> None:
-        if self.p < 2 or any(self.p % k == 0 for k in range(2, self.p)):
+        if factorize(self.p) != {self.p: 1}:
             raise ValueError(f"p={self.p} is not prime")
         if self.e < 1 or self.p ** self.e != self.q:
             raise ValueError(f"q={self.q} is not p^e for p={self.p}, e={self.e}")
@@ -40,15 +54,8 @@ def prime_power(q: int) -> PrimePower:
     """Factor a supported q into (p, e, q)."""
     if q not in SUPPORTED_Q:
         raise ValueError(f"unsupported q={q}; supported values: {SUPPORTED_Q}")
-    for p in (2, 3, 5, 7, 11, 13):
-        if q % p == 0:
-            e = 0
-            n = q
-            while n > 1:
-                n //= p
-                e += 1
-            return PrimePower(p, e, q)
-    raise ValueError(f"q={q} has no small prime factor")
+    (p, e), = factorize(q).items()
+    return PrimePower(p, e, q)
 
 
 # ---------------------------------------------------------------------------
@@ -110,20 +117,6 @@ def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
     return a
 
 
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def _is_irreducible(f: list[int], p: int) -> bool:
     d = len(f) - 1
     x = [0, 1]
@@ -135,7 +128,7 @@ def _is_irreducible(f: list[int], p: int) -> bool:
         powers.append(t)
     if powers[-1] != _poly_mod(x, f, p):
         return False
-    for r in _prime_factors(d):
+    for r in factorize(d):
         g = _poly_gcd([(a - b) % p for a, b in _pad(powers[d // r - 1], x)], f, p)
         if len(g) > 1:
             return False
@@ -150,7 +143,7 @@ def _pad(a: list[int], b: list[int]) -> zip:
 def _has_order(a: list[int], order: int, f: list[int], p: int) -> bool:
     if _poly_powmod(a, order, f, p) != [1]:
         return False
-    return all(_poly_powmod(a, order // r, f, p) != [1] for r in _prime_factors(order))
+    return all(_poly_powmod(a, order // r, f, p) != [1] for r in factorize(order))
 
 
 # ---------------------------------------------------------------------------
@@ -298,11 +291,6 @@ class FieldContext:
         """g^k for the fixed primitive generator g."""
         return FieldElement(self, self._exp[k % self.order])
 
-    def elements(self):
-        yield self.zero
-        for t in self._exp:
-            yield FieldElement(self, t)
-
     # -- arithmetic ---------------------------------------------------------
 
     def add(self, a: FieldElement, b: FieldElement) -> FieldElement:
@@ -327,10 +315,6 @@ class FieldContext:
         k = (self._log[a.coeffs] * n) % self.order
         return FieldElement(self, self._exp[k])
 
-    def frobenius_q(self, a: FieldElement) -> FieldElement:
-        """a -> a^q, the generator of Gal(GF(q^3)/GF(q))."""
-        return self.pow(a, self.q)
-
     def trace_to_subfield(self, a: FieldElement) -> FieldElement:
         """Tr(a) = a + a^q + a^(q^2), a GF(q)-linear map onto GF(q)."""
         return self.add(self.add(a, self.pow(a, self.q)), self.pow(a, self.q * self.q))
@@ -339,9 +323,6 @@ class FieldContext:
         if not a:
             raise ValueError("discrete logarithm of zero is undefined")
         return self._log[a.coeffs]
-
-    def in_subfield(self, a: FieldElement) -> bool:
-        return self.pow(a, self.q) == a
 
     def subfield(self) -> tuple[FieldElement, ...]:
         """The q elements fixed by a -> a^q."""

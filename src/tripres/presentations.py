@@ -73,9 +73,6 @@ class SigmaCycle:
             if (u + v + w) % self.n:
                 raise ValueError(f"cycle through {u} does not sum to 0 mod {self.n}")
 
-    def apply(self, u: int) -> int:
-        return self.images[self.domain.index(u)]
-
     def as_dict(self) -> dict[int, int]:
         return dict(zip(self.domain, self.images))
 
@@ -113,9 +110,6 @@ class TrianglePresentation:
     n: int
     corr: Correspondence
     triples: frozenset[Triple]
-
-    def sorted_triples(self) -> tuple[Triple, ...]:
-        return tuple(sorted(self.triples))
 
     def rotation_classes(self) -> tuple[Triple, ...]:
         """Lex-least representative of each rotation class, sorted."""
@@ -191,10 +185,6 @@ def check_axioms(p: TrianglePresentation) -> list[str]:
     if len(p.triples) != n * (p.q + 1):
         viol.append(f"cardinality: |T| = {len(p.triples)}, expected {n * (p.q + 1)}")
     return viol
-
-
-def is_axiom_valid(p: TrianglePresentation) -> bool:
-    return not check_axioms(p)
 
 
 def is_singer_invariant(p: TrianglePresentation) -> bool:

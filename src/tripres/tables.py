@@ -15,6 +15,7 @@ from importlib import resources
 from typing import Mapping
 
 from .abelian import AbelianGroup, away_from, direct_double, iso_equal
+from .gf import factorize
 
 EXPECTED_ROW_COUNTS = {2: 9, 3: 90, 4: 6, 5: 7, 7: 19, 8: 6, 9: 9, 11: 24}
 
@@ -93,26 +94,8 @@ def parse_group_cell(text: str) -> tuple[int | None, AbelianGroup]:
     i = skip_ws(i)
     if i != len(s):
         raise CellParseError(f"trailing text in {s!r}", i)
-    flat: list[int] = []
-    for v in primaries:
-        flat.extend(_primary_split(v))
+    flat = [p ** e for v in primaries for p, e in factorize(v).items()]
     return rank, AbelianGroup.from_primary(flat)
-
-
-def _primary_split(v: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= v:
-        if v % d == 0:
-            e = 0
-            while v % d == 0:
-                v //= d
-                e += 1
-            out.append(d ** e)
-        d += 1
-    if v > 1:
-        out.append(v)
-    return out
 
 
 def format_group_cell(rank: int | None, group: AbelianGroup) -> str:

@@ -11,7 +11,6 @@ from tripres.abelian import (
     direct_double,
     invariant_factors,
     iso_equal,
-    primary_part,
     snf,
 )
 
@@ -144,8 +143,6 @@ def test_bracket_rendering():
 def test_primary_ops():
     g = AbelianGroup.from_primary([2, 2, 2, 3])
     assert away_from(g, 3).primary_factors == (2, 2, 2)
-    assert primary_part(g, 2).primary_factors == (2, 2, 2)
-    assert primary_part(g, 7).is_trivial
     d = direct_double(AbelianGroup.from_primary([2, 7]))
     assert d.divisors == (14, 14)
     assert iso_equal(d, AbelianGroup.from_primary([2, 2, 7, 7]))

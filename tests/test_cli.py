@@ -146,6 +146,30 @@ def test_labels_file(capsys, tmp_path):
     assert "match A.1: A.1 " in out
 
 
+def test_verify_reads_labels_before_computing(capsys, tmp_path, monkeypatch):
+    calls = []
+
+    def refuse(qs):
+        calls.append(qs)
+        raise AssertionError("catalogs built before the labels were read")
+
+    monkeypatch.setattr("tripres.cli.computed_mapping", refuse)
+    code, out, err = run(capsys, "verify", "--q", "2", "--labels", str(tmp_path / "missing"))
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert out == ""
+    assert calls == []
+
+
+def test_enumerate_reads_labels_before_printing(capsys, tmp_path):
+    code, out, err = run(
+        capsys, "enumerate", "--q", "2", "--all", "--labels", str(tmp_path / "missing")
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_output_deterministic(capsys):
     _, out1, _ = run(capsys, "enumerate", "--q", "3", "--all")
     _, out2, _ = run(capsys, "enumerate", "--q", "3", "--all")

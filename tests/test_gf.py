@@ -80,7 +80,7 @@ def _prime_divisors(n):
 def test_field_axioms_small():
     for q in (2, 3, 4):
         f = build_field(q)
-        elems = list(f.elements())
+        elems = [f.zero] + [f.from_log(k) for k in range(f.order)]
         for a in elems:
             assert a + f.zero == a
             if a:
@@ -117,7 +117,7 @@ def test_trace_additive_and_linear():
         sub = f.subfield()
         elems = [f.from_log(k) for k in range(0, f.order, max(1, f.order // 23))]
         for a in elems:
-            assert f.in_subfield(a.trace())
+            assert f.pow(a.trace(), f.q) == a.trace()
             for b in elems[:7]:
                 assert (a + b).trace() == a.trace() + b.trace()
             for lam in sub:
@@ -127,7 +127,8 @@ def test_trace_additive_and_linear():
 def test_frobenius_fixes_exactly_subfield():
     for q in (2, 3, 4, 5, 9):
         f = build_field(q)
-        fixed = [a for a in f.elements() if f.frobenius_q(a) == a]
+        elems = [f.zero] + [f.from_log(k) for k in range(f.order)]
+        fixed = [a for a in elems if f.pow(a, f.q) == a]
         assert len(fixed) == q
         assert set(a.coeffs for a in fixed) == set(a.coeffs for a in f.subfield())
 
@@ -136,7 +137,7 @@ def test_trace_surjective_with_even_fibers():
     for q in (2, 3, 4, 5):
         f = build_field(q)
         fibers = {}
-        for a in f.elements():
+        for a in [f.zero] + [f.from_log(k) for k in range(f.order)]:
             fibers.setdefault(a.trace().coeffs, 0)
             fibers[a.trace().coeffs] += 1
         assert len(fibers) == q
