@@ -238,6 +238,40 @@ def test_all_catalog_groups_are_finite():
     assert len(invariant_catalog(13)) == 48
 
 
+# q -> sha256 of "index:rank/d1,d2,...;..." over the base, q and q^2 groups
+# of every catalog class, in catalog order.
+PINNED_CATALOG_GROUPS = {
+    2: "e725a62323e153054fd6966e2988208d35bcbf00120990fb0a40fdbc1ccc7bf8",
+    3: "b53a896ad13c9e6da91584ac40439eec00ab9ecc941224b7599731f0a0403ac5",
+    4: "90fa6a24cb9b734f97017a73eddc2ecdd3571622c878bfdb0b544e8533ffa338",
+    5: "3acdb386365a44aa6ddf916e57d48227d7a540213c3a8a910ddbc5bb37b71c06",
+    7: "484cac56950f54100a0e2a20e48ddacaf9d6b7d8db6fa93bee2abf49d60f766f",
+    8: "723841d4dfd230486e302bbff1e44d51ba7c44d1d7c617f907eff42fec040e67",
+    9: "588c010c0107a565e3a7867cf52eedf0f6b1a95a91faa38a7fb0ea449f5b2945",
+    11: "ebbce76f29bbe950bf00ace4551732fc694e4d8ff5d8dcafbf6f9fab157323a9",
+    13: "46a5b1ba65ca22f83a363c7382dc87f7addb1e0adbbbe50d2ee684da1df01b71",
+}
+
+
+def test_catalog_groups_pinned():
+    import hashlib
+
+    from tripres.catalog import invariant_catalog
+    from tripres.gf import SUPPORTED_Q
+
+    assert sorted(PINNED_CATALOG_GROUPS) == sorted(SUPPORTED_Q)
+    for q in SUPPORTED_Q:
+        blob = " ".join(
+            f"{o.index}:"
+            + ";".join(
+                f"{g.rank}/" + ",".join(map(str, g.divisors))
+                for g in (o.base, o.twist_q, o.twist_q2)
+            )
+            for o in invariant_catalog(q)
+        )
+        assert hashlib.sha256(blob.encode()).hexdigest() == PINNED_CATALOG_GROUPS[q], f"q={q}"
+
+
 def _sympy_group(gp):
     """Independent oracle: sympy's invariant factors of the relation matrix.
 
