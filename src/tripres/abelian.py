@@ -8,15 +8,16 @@ the bare matrix; `snf` runs it on the matrix augmented by identity blocks,
 [M | I] over [I | 0], so the same row and column moves build the
 unimodular U and V with U*M*V = D.
 
-`abelianization` first eliminates generators on +-1 pivots in a sparse
-copy of the relation matrix (Havas-Holt-Rees, "Recognizing badly presented
-Z-modules", 1993), so coefficients stay small, and hands the dense core
-that is left to `invariant_factors`.
+`abelianization` solves generators on +-1 coefficients by lazy Tietze
+substitution: each generator is written once in terms of a few free seed
+generators, and each remaining relator is rewritten once, at the end, in
+those seeds (unit-pivot elimination after Havas-Holt-Rees, "Recognizing
+badly presented Z-modules", 1993).  The dense core that is left, a few
+seed columns wide, goes to `invariant_factors`.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -358,60 +359,80 @@ def _relator_rows(gp) -> list[dict[int, int]]:
 def abelianization(gp) -> AbelianGroup:
     """Cokernel of the relation matrix: free rank plus torsion divisors.
 
-    Generators with a +-1 coefficient are eliminated first (a Tietze move,
-    so the cokernel is unchanged); the pivot is taken in the live column
-    with fewest rows, from its shortest row with a unit entry, ties by
-    index.  What remains is a narrow dense core for `invariant_factors`.
+    Each generator is solved once, as a sparse ``{seed: coefficient}``
+    expression in a few free seed generators.  A relator is ready when it
+    holds exactly one unsolved generator u, with coefficient c = +-1; then
+    u = -c * (sum of the relator's other terms), a Tietze move that keeps
+    the cokernel, and the relator is used up.  Ready relators are worked
+    through with a stack.  When none is ready, the unsolved generator that
+    lies in the most relators with exactly two unsolved generators (ties by
+    smallest index; else the first unsolved one) becomes a new seed.  The
+    unused relators, rewritten once in the seeds, form a dense core for
+    `invariant_factors`.
     """
-    rows = dict(enumerate(_relator_rows(gp)))
-    cols: dict[int, set[int]] = {}
-    for i, row in rows.items():
+    n = gp.num_generators
+    rows = _relator_rows(gp)
+    rows_of: list[list[int]] = [[] for _ in range(n)]
+    for i, row in enumerate(rows):
         for j in row:
-            cols.setdefault(j, set()).add(i)
-    # lazy heap of (row count, column); an entry is stale once the count
-    # changes, and a column without a unit entry is only pushed again when
-    # a later elimination touches it
-    heap = [(len(rs), j) for j, rs in cols.items()]
-    heapq.heapify(heap)
-    eliminated = 0
-    while heap:
-        count, j = heapq.heappop(heap)
-        col = cols.get(j)
-        if col is None or len(col) != count:
-            continue
-        units = [i for i in col if rows[i][j] in (1, -1)]
-        if not units:
-            continue
-        pivot = min(units, key=lambda i: (len(rows[i]), i))
-        prow = rows.pop(pivot)
-        for k in prow:
-            cols[k].discard(pivot)
-        for i in list(col):
+            rows_of[j].append(i)
+    unsolved = [len(row) for row in rows]
+    used = [False] * len(rows)
+    expr: dict[int, dict[int, int]] = {}
+    ready = [i for i, k in enumerate(unsolved) if k == 1]
+    seeds = 0
+    first = 0  # every generator below this index is solved
+
+    def solve(u: int, e: dict[int, int]) -> None:
+        expr[u] = e
+        for i in rows_of[u]:
+            unsolved[i] -= 1
+            if unsolved[i] == 1:
+                ready.append(i)
+
+    while True:
+        while ready:
+            i = ready.pop()
             row = rows[i]
-            f = row[j] * prow[j]
-            for k, v in prow.items():
-                c = row.get(k, 0) - f * v
-                if c:
-                    if k not in row:
-                        cols[k].add(i)
-                    row[k] = c
-                else:
-                    del row[k]
-                    cols[k].discard(i)
-            if not row:
-                del rows[i]
-        del cols[j]
-        eliminated += 1
-        for k in prow:
-            if k != j:
-                heapq.heappush(heap, (len(cols[k]), k))
-    core_cols = sorted(j for j, rs in cols.items() if rs)
+            u = next((j for j in row if j not in expr), None)
+            if u is None or row[u] not in (1, -1):
+                continue
+            e: dict[int, int] = {}
+            for j, c in row.items():
+                if j != u:
+                    f = -row[u] * c
+                    for s, v in expr[j].items():
+                        t = e.get(s, 0) + f * v
+                        if t:
+                            e[s] = t
+                        else:
+                            del e[s]
+            used[i] = True
+            solve(u, e)
+        while first < n and first in expr:
+            first += 1
+        if first == n:
+            break
+        pairs: dict[int, int] = {}
+        for i, k in enumerate(unsolved):
+            if k == 2:
+                for j in rows[i]:
+                    if j not in expr:
+                        pairs[j] = pairs.get(j, 0) + 1
+        u = min(pairs, key=lambda j: (-pairs[j], j)) if pairs else first
+        solve(u, {seeds: 1})
+        seeds += 1
     # a row, its negative and its repeats span the same lattice, so each
     # core row is kept once with its first nonzero entry positive
     core = set()
-    for row in rows.values():
-        v = tuple(row.get(j, 0) for j in core_cols)
-        core.add(v if next(c for c in v if c) > 0 else tuple(-c for c in v))
+    for row, done in zip(rows, used):
+        if done:
+            continue
+        v = [0] * seeds
+        for j, c in row.items():
+            for s, x in expr[j].items():
+                v[s] += c * x
+        if any(v):
+            core.add(tuple(v) if next(c for c in v if c) > 0 else tuple(-c for c in v))
     factors = invariant_factors(sorted(core)) if core else ()
-    rank = gp.num_generators - eliminated - len(factors)
-    return AbelianGroup.from_invariant_factors(factors, rank=rank)
+    return AbelianGroup.from_invariant_factors(factors, rank=seeds - len(factors))
