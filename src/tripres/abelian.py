@@ -381,7 +381,6 @@ def abelianization(gp) -> AbelianGroup:
     expr: dict[int, dict[int, int]] = {}
     ready = [i for i, k in enumerate(unsolved) if k == 1]
     seeds = 0
-    first = 0  # every generator below this index is solved
 
     def solve(u: int, e: dict[int, int]) -> None:
         expr[u] = e
@@ -409,9 +408,7 @@ def abelianization(gp) -> AbelianGroup:
                             del e[s]
             used[i] = True
             solve(u, e)
-        while first < n and first in expr:
-            first += 1
-        if first == n:
+        if len(expr) == n:
             break
         pairs: dict[int, int] = {}
         for i, k in enumerate(unsolved):
@@ -419,7 +416,7 @@ def abelianization(gp) -> AbelianGroup:
                 for j in rows[i]:
                     if j not in expr:
                         pairs[j] = pairs.get(j, 0) + 1
-        u = min(pairs, key=lambda j: (-pairs[j], j)) if pairs else first
+        u = min((j for j in range(n) if j not in expr), key=lambda j: (-pairs.get(j, 0), j))
         solve(u, {seeds: 1})
         seeds += 1
     # a row, its negative and its repeats span the same lattice, so each
