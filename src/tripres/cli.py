@@ -4,12 +4,14 @@ Subcommands: field, plane, enumerate, twist, present, abelianize, verify,
 survey.  All output is line-oriented plain text behind a `# generated-by`
 header that records the modulus choice, so runs are diffable.  Exit codes:
 0 success/verified, 1 verification mismatch or heuristic deviation,
-2 usage or input errors.
+2 usage or input errors, 141 (128 + SIGPIPE) when the reader of stdout
+goes away, as in `tripres enumerate --q 13 --all | head -1`.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -301,7 +303,14 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone, which is no input error; point stdout at
+        # /dev/null so the flush at exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (PresentationFormatError, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -578,10 +578,16 @@ def presentation_from_text(text: str) -> TrianglePresentation:
         raise PresentationFormatError(
             f"header N={n} does not match q={q}: expected N = q^2+q+1 = {q * q + q + 1}"
         )
+    for key in ("a", "b"):
+        if not 0 <= header[key] < n:
+            raise PresentationFormatError(f"header {key}={header[key]} is not in 0..{n - 1}")
+    scale = header.get("scale", 1)
+    if gcd(scale, n) != 1:
+        raise PresentationFormatError(f"header scale={scale} is not coprime to N={n}")
     p = TrianglePresentation(
         q=q,
         n=n,
-        corr=Correspondence(header["a"] % n, header["b"] % n, header.get("scale", 1) % n),
+        corr=Correspondence(header["a"], header["b"], scale % n),
         triples=frozenset(
             (x % n, y % n, z % n) for x, y, z in triples
         ),

@@ -1,3 +1,4 @@
+import io
 import os
 import subprocess
 import sys
@@ -105,6 +106,27 @@ def test_header_n_mismatch_is_a_format_error(capsys, tmp_path, n):
     assert f"N={n}" in err and "= 7" in err
 
 
+@pytest.mark.parametrize(
+    "header, field",
+    [
+        ("q=6\nN=43\na=1\nb=0", "q=6"),
+        ("q=2\nN=8\na=1\nb=0", "N=8"),
+        ("q=2\nN=7\na=15\nb=0", "a=15"),
+        ("q=2\nN=7\na=1\nb=-3", "b=-3"),
+        ("q=2\nN=7\na=1\nb=0\nscale=0", "scale=0"),
+    ],
+    ids=["q", "N", "a", "b", "scale"],
+)
+def test_malformed_header_field(capsys, tmp_path, header, field):
+    bad = tmp_path / "bad.tp"
+    bad.write_text(header + "\n0 1 3\n")
+    code, out, err = run(capsys, "abelianize", "--in", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert field in err
+
+
 def test_missing_file(capsys):
     code, _, err = run(capsys, "abelianize", "--in", "/nonexistent/x.tp")
     assert code == 2
@@ -189,6 +211,29 @@ def test_directory_argument_is_an_input_error(capsys, tmp_path, argv):
     code, _, err = run(capsys, *(a.format(dir=tmp_path) for a in argv))
     assert code == 2
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+class _ClosedPipe(io.TextIOBase):
+    """A stdout whose reader has gone away, on the file descriptor `fd`."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+def test_broken_pipe_is_not_an_input_error(capsys, monkeypatch, tmp_path):
+    with open(tmp_path / "stdout", "wb") as f:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(f.fileno()))
+        code = main(["enumerate", "--q", "2", "--all"])
+        os.write(f.fileno(), b"after")  # the descriptor now points at os.devnull
+    assert code == 141
+    assert capsys.readouterr().err == ""
+    assert (tmp_path / "stdout").read_bytes() == b""
 
 
 def test_python_dash_m_runs_the_cli():
