@@ -2,9 +2,10 @@
 
 The abelianization of <x_0..x_{N-1} | x_a x_b x_c> is the cokernel of the
 exponent-sum matrix, computed exactly over the integers.  `snf` returns
-the full U*M*V = D factorization; `abelianization` first eliminates
-generators on +-1 pivots in a sparse copy of the matrix, then takes the
-transform-free invariant factors of the small core left, and agrees with it.
+the full U*M*V = D factorization; `abelianization` first solves each
+generator once, on a +-1 coefficient, in terms of a few seed generators,
+then takes the transform-free invariant factors of the relators left over,
+rewritten in the seeds, and agrees with it.
 """
 
 from tripres.abelian import AbelianGroup, abelianization, relation_matrix, snf
