@@ -31,6 +31,21 @@ def test_field_q2(capsys):
     assert "trace_zero = 1 2 4" in out
 
 
+def test_field_and_plane_output_pinned(capsys):
+    import hashlib
+
+    from tripres.gf import SUPPORTED_Q
+
+    out = ""
+    for q in SUPPORTED_Q:
+        for cmd in ("field", "plane"):
+            code, text, _ = run(capsys, cmd, "--q", str(q))
+            assert code == 0
+            out += text
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "a2e4b265e9fb3705737c06a1018e86d066c2b15254c8ab340e13dd6dae9722f4"
+
+
 def test_enumerate_all_q2(capsys, tmp_path):
     code, out, _ = run(capsys, "enumerate", "--q", "2", "--all", "--out-dir", str(tmp_path))
     assert code == 0

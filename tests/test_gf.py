@@ -22,7 +22,33 @@ def test_q2_modulus_and_generator():
     f = build_field(2)
     assert poly_str(f.modulus) == "x^3 + x + 1"
     assert f.generator == f.element((0, 1, 0))
-    assert f.generator_is_x
+
+
+# q -> (modulus, sha256 of repr([g^k coefficient tuple for k in 0..order-1])).
+PINNED_FIELDS = {
+    2: ("x^3 + x + 1", "ad3ed61863c8fcdeecd1e884caab730d63e3f8f5f4534acce87f16cf73e8ee73"),
+    3: ("x^3 + 2x + 1", "c1c4bc2026f39bd1a1524d2e07c65899e742f52d6790c6e2ec0c1b438395e369"),
+    4: ("x^6 + x + 1", "9339394bfe0df0bc35ce76a3a35765d3f3aa181d08dc58e35bc1b95170d246a5"),
+    5: ("x^3 + 3x + 2", "dbc385f0dc255e0bcedbb03cc62718136eb46b2ad7951d45eea7928c63be7a0d"),
+    7: ("x^3 + 3x + 2", "a4644f029d1f7b8f2158ac7ed7060528321fad50e2e4538d1452c208eb7d45ae"),
+    8: ("x^9 + x^4 + 1", "574e4cb4957cf12f18201ca8400df337fa75f7d21a48b5205db0e72f65cb46d8"),
+    9: ("x^6 + x + 2", "5b340385a9add92ed46bdd424f95c7cebd505e318f4c6821f0dff27fed62c37f"),
+    11: ("x^3 + x + 4", "0e26caa3f788ef86e08b99cef73e37d214a902a413c46b3367c803022e3f19da"),
+    13: ("x^3 + x + 6", "11e0483888b9274896ba4d1e2238cd87b74c1db2565e9b53275efff16357e543"),
+}
+
+
+def test_fields_pinned():
+    import hashlib
+
+    assert sorted(PINNED_FIELDS) == sorted(SUPPORTED_Q)
+    for q in SUPPORTED_Q:
+        f = build_field(q)
+        modulus, digest = PINNED_FIELDS[q]
+        assert poly_str(f.modulus) == modulus, f"q={q}"
+        powers = repr([f.from_log(k).coeffs for k in range(f.order)])
+        assert hashlib.sha256(powers.encode()).hexdigest() == digest, f"q={q}"
+        assert f.generator == f.element((0, 1)), f"q={q}"
 
 
 def test_q2_reduction_matches_polynomial_division():
