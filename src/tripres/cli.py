@@ -39,8 +39,7 @@ def _header(q: int | None = None) -> str:
     parts = [f"# generated-by: tripres {__version__}"]
     if q is not None:
         f = build_field(q)
-        rule = "min-value primitive" if f.generator_is_x else "min-value irreducible, searched generator"
-        parts.append(f"# field: GF({f.p}^{f.degree}), modulus {poly_str(f.modulus)} ({rule})")
+        parts.append(f"# field: GF({f.p}^{f.degree}), modulus {poly_str(f.modulus)} (min-value primitive)")
     return "\n".join(parts)
 
 
@@ -77,8 +76,7 @@ def cmd_field(args) -> int:
     print(_header(args.q))
     print(f"q={args.q} p={f.p} d={f.degree}")
     print(f"modulus = {poly_str(f.modulus)}")
-    gen = "x" if f.generator_is_x else poly_str(f.generator.coeffs)
-    print(f"generator = {gen}")
+    print("generator = x")
     print("trace_zero = " + " ".join(str(j) for j in plane.difference_set))
     return 0
 

@@ -2,17 +2,18 @@
 
 Every supported field is tiny (at most 13^3 = 2197 elements), so everything
 is exact and table driven: elements are reduced coefficient tuples over
-GF(p), and a precomputed exp/log table for a fixed primitive generator makes
+GF(p), and a precomputed exp/log table for the primitive generator x makes
 multiplication, inversion and discrete logarithms cheap lookups.
 
 The defining modulus is chosen deterministically so independent runs (and
 independent implementations following the same rule) agree: among all monic
-irreducible polynomials of degree d = 3e over GF(p) for which the residue of
-x is primitive, take the one whose non-leading coefficient vector has the
+polynomials f of degree d = 3e over GF(p) for which the residue of x is
+primitive, take the one whose non-leading coefficient vector has the
 smallest value as a base-p integer with the constant term least significant.
-For q = 2 this yields x^3 + x + 1 with generator x.
+Such an f is irreducible, since x of order p^d - 1 makes all p^d - 1 nonzero
+residues units, so GF(p)[x]/(f) is a field; and one exists in every degree,
+so x is the generator for every q.  For q = 2 this yields x^3 + x + 1.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -59,91 +60,46 @@ def prime_power(q: int) -> PrimePower:
 
 
 # ---------------------------------------------------------------------------
-# Raw polynomial helpers over GF(p).  Polynomials are int lists, constant
-# term first, with no trailing zeros.  Only used while selecting the modulus;
-# afterwards all field arithmetic goes through the exp/log tables.
+# Choosing the modulus.  The shift register that steps x^k mod f is both the
+# primitivity test and the table build: the accepted cycle is the exp table.
 
 
-def _trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
+def _primitive_modulus(p: int, d: int) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
+    """The least monic f of degree d over GF(p) for which x is primitive, and x^k mod f.
 
+    Candidates f = x^d + c_{d-1}x^{d-1} + ... + c_0 are taken in order of the
+    base-p value of (c_0, ..., c_{d-1}), constant term least significant;
+    those with c_0 = 0 are skipped.  From 1, the state x^k mod f is stepped
+    by multiplying by x (shift the coefficients up, subtract lead * f) until
+    it is 1 again.  The first f whose cycle has length p^d - 1 is returned
+    with the states of that cycle, x^0 .. x^(p^d - 2), in order.
 
-def _poly_mul(a: list[int], b: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _trim(out)
+    This is the rule "the least irreducible f for which x is primitive":
 
-
-def _poly_mod(a: list[int], f: list[int], p: int) -> list[int]:
-    a = list(a)
-    d = len(f) - 1
-    inv_lead = pow(f[-1], -1, p)
-    while len(a) > d:
-        coef = (a[-1] * inv_lead) % p
-        shift = len(a) - 1 - d
-        if coef:
-            for i, fi in enumerate(f):
-                a[shift + i] = (a[shift + i] - coef * fi) % p
-        a.pop()
-        _trim(a)
-    return _trim(a)
-
-
-def _poly_powmod(a: list[int], n: int, f: list[int], p: int) -> list[int]:
-    result = [1]
-    base = _poly_mod(a, f, p)
-    while n:
-        if n & 1:
-            result = _poly_mod(_poly_mul(result, base, p), f, p)
-        base = _poly_mod(_poly_mul(base, base, p), f, p)
-        n >>= 1
-    return result
-
-
-def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _poly_mod(a, b, p)
-    if a:
-        inv = pow(a[-1], -1, p)
-        a = [(c * inv) % p for c in a]
-    return a
-
-
-def _is_irreducible(f: list[int], p: int) -> bool:
-    d = len(f) - 1
-    x = [0, 1]
-    # x^(p^d) == x mod f, and x^(p^(d/r)) - x coprime to f for prime r | d
-    t = list(x)
-    powers = []
-    for _ in range(d):
-        t = _poly_powmod(t, p, f, p)
-        powers.append(t)
-    if powers[-1] != _poly_mod(x, f, p):
-        return False
-    for r in factorize(d):
-        g = _poly_gcd([(a - b) % p for a, b in _pad(powers[d // r - 1], x)], f, p)
-        if len(g) > 1:
-            return False
-    return True
-
-
-def _pad(a: list[int], b: list[int]) -> zip:
-    n = max(len(a), len(b))
-    return zip(a + [0] * (n - len(a)), b + [0] * (n - len(b)))
-
-
-def _has_order(a: list[int], order: int, f: list[int], p: int) -> bool:
-    if _poly_powmod(a, order, f, p) != [1]:
-        return False
-    return all(_poly_powmod(a, order // r, f, p) != [1] for r in factorize(order))
+    - if x has order p^d - 1 in GF(p)[x]/(f), that ring of p^d elements has
+      p^d - 1 units, so it is a field and f is irreducible;
+    - when c_0 != 0, x is a unit, so every cycle closes within p^d - 1 steps;
+    - a primitive polynomial exists in every degree over every GF(p), so the
+      search always succeeds and x always serves as the generator.
+    """
+    one = (1,) + (0,) * (d - 1)
+    for value in range(1, p ** d):
+        if value % p == 0:
+            continue
+        low = [value // p ** i % p for i in range(d)]
+        powers = [one]
+        state = one
+        while True:
+            lead = state[-1]
+            state = (0,) + state[:-1]
+            if lead:
+                state = tuple((s - lead * c) % p for s, c in zip(state, low))
+            if state == one:
+                break
+            powers.append(state)
+        if len(powers) == p ** d - 1:
+            return tuple(low) + (1,), powers
+    raise AssertionError(f"no primitive polynomial of degree {d} over GF({p})")
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +156,7 @@ class FieldElement:
 
 
 class FieldContext:
-    """GF(p^d) with d = 3e, its GF(q) subfield and a fixed primitive generator.
+    """GF(p^d) with d = 3e, its GF(q) subfield and the primitive generator x.
 
     Immutable after construction; all operations are pure.
     """
@@ -215,68 +171,12 @@ class FieldContext:
         self.num_elements = p ** d
         self.order = p ** d - 1
 
-        modulus, generator_is_x = self._select_modulus(p, d)
-        self.modulus = tuple(modulus)  # length d+1, monic, constant term first
-        self.generator_is_x = generator_is_x
-
-        gen_coeffs = (0, 1) + (0,) * (d - 2) if generator_is_x else None
-        if gen_coeffs is None:
-            gen_coeffs = self._smallest_primitive(modulus, p, d)
-        self._build_tables(gen_coeffs)
-
-    @staticmethod
-    def _select_modulus(p: int, d: int) -> tuple[list[int], bool]:
-        order = p ** d - 1
-        fallback = None
-        for value in range(p ** d):
-            coeffs = []
-            v = value
-            for _ in range(d):
-                coeffs.append(v % p)
-                v //= p
-            f = coeffs + [1]
-            if not _is_irreducible(f, p):
-                continue
-            if fallback is None:
-                fallback = f
-            if _has_order([0, 1], order, f, p):
-                return f, True
-        if fallback is None:
-            raise ValueError(f"no irreducible polynomial of degree {d} over GF({p})")
-        return fallback, False
-
-    @staticmethod
-    def _smallest_primitive(f: list[int], p: int, d: int) -> tuple[int, ...]:
-        order = p ** d - 1
-        for value in range(2, p ** d):
-            coeffs = []
-            v = value
-            for _ in range(d):
-                coeffs.append(v % p)
-                v //= p
-            if _has_order(coeffs, order, f, p):
-                return tuple(coeffs)
-        raise ValueError("no primitive element found")
-
-    def _build_tables(self, gen_coeffs: tuple[int, ...]) -> None:
-        p, d = self.p, self.degree
-        f = list(self.modulus)
-        exp: list[tuple[int, ...]] = []
-        log: dict[tuple[int, ...], int] = {}
-        cur = [1]
-        gen = list(gen_coeffs)
-        for k in range(self.order):
-            t = tuple(cur) + (0,) * (d - len(cur))
-            exp.append(t)
-            log[t] = k
-            cur = _poly_mod(_poly_mul(cur, gen, p), f, p)
-        if tuple(cur) + (0,) * (d - len(cur)) != exp[0]:
-            raise AssertionError("generator does not have full multiplicative order")
-        self._exp = exp
-        self._log = log
+        # modulus: length d+1, monic, constant term first; _exp[k] = x^k mod modulus
+        self.modulus, self._exp = _primitive_modulus(p, d)
+        self._log = {c: k for k, c in enumerate(self._exp)}
         self.zero = FieldElement(self, (0,) * d)
-        self.one = FieldElement(self, exp[0])
-        self.generator = FieldElement(self, exp[1 % self.order])
+        self.one = FieldElement(self, self._exp[0])
+        self.generator = FieldElement(self, self._exp[1])
 
     # -- construction -------------------------------------------------------
 
@@ -288,7 +188,7 @@ class FieldContext:
         return FieldElement(self, c)
 
     def from_log(self, k: int) -> FieldElement:
-        """g^k for the fixed primitive generator g."""
+        """g^k for the primitive generator g = x."""
         return FieldElement(self, self._exp[k % self.order])
 
     # -- arithmetic ---------------------------------------------------------
