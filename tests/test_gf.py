@@ -186,20 +186,44 @@ def test_discrete_log_inverts_exp():
             assert f.discrete_log(f.from_log(k)) == k
 
 
-def test_modulus_is_value_minimal_primitive():
-    # Independent re-derivation of the modulus rule for the two smallest fields.
-    from tripres.gf import _has_order, _is_irreducible
+def _poly_mul(a, b, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] = (out[i + j] + ai * bj) % p
+    return out
 
-    for q in (2, 3):
+
+def _x_has_order(n, f, p):
+    """Whether x has multiplicative order exactly n modulo the monic f over GF(p)."""
+
+    def x_pow(k):
+        result, base = [1], [0, 1]
+        while k:
+            if k & 1:
+                result = _poly_rem(_poly_mul(result, base, p), f, p)
+            base = _poly_rem(_poly_mul(base, base, p), f, p)
+            k >>= 1
+        return _poly_rem(result, f, p)
+
+    one = _poly_rem([1], f, p)
+    return x_pow(n) == one and all(x_pow(n // r) != one for r in _prime_divisors(n))
+
+
+def test_modulus_is_value_minimal_primitive():
+    # Independent re-derivation of the modulus rule: sympy decides
+    # irreducibility, a square-and-multiply loop the order of x.
+    from sympy import Poly, symbols
+
+    x = symbols("x")
+    for q in SUPPORTED_Q:
         f = build_field(q)
         p, d = f.p, f.degree
         for value in range(p ** d):
-            coeffs = []
-            v = value
-            for _ in range(d):
-                coeffs.append(v % p)
-                v //= p
-            cand = coeffs + [1]
-            if _is_irreducible(cand, p) and _has_order([0, 1], p ** d - 1, cand, p):
-                assert tuple(cand) == f.modulus
+            cand = [value // p ** i % p for i in range(d)] + [1]
+            irreducible = Poly(cand[::-1], x, modulus=p).is_irreducible
+            if irreducible and _x_has_order(p ** d - 1, cand, p):
+                assert tuple(cand) == f.modulus, f"q={q}"
                 break
+        else:
+            raise AssertionError(f"q={q}: no primitive modulus found")
