@@ -547,7 +547,7 @@ def presentation_to_text(p: TrianglePresentation, note: str = "") -> str:
 
 def presentation_from_text(text: str) -> TrianglePresentation:
     header = {}
-    triples = set()
+    rows = []
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -557,6 +557,8 @@ def presentation_from_text(text: str) -> TrianglePresentation:
             key = key.strip()
             if key not in ("q", "N", "a", "b", "scale"):
                 raise PresentationFormatError(f"line {ln}: unknown header {key!r}")
+            if key in header:
+                raise PresentationFormatError(f"line {ln}: repeated header {key!r}")
             try:
                 header[key] = int(val)
             except ValueError:
@@ -569,7 +571,7 @@ def presentation_from_text(text: str) -> TrianglePresentation:
             x, y, z = (int(v) for v in parts)
         except ValueError:
             raise PresentationFormatError(f"line {ln}: bad triple {line!r}") from None
-        triples.update({(x, y, z), (y, z, x), (z, x, y)})
+        rows.append((ln, (x, y, z)))
     for key in ("q", "N", "a", "b"):
         if key not in header:
             raise PresentationFormatError(f"missing header line {key}=...")
@@ -584,12 +586,14 @@ def presentation_from_text(text: str) -> TrianglePresentation:
     scale = header.get("scale", 1)
     if gcd(scale, n) != 1:
         raise PresentationFormatError(f"header scale={scale} is not coprime to N={n}")
-    p = TrianglePresentation(
+    triples = set()
+    for ln, (x, y, z) in rows:
+        if not all(0 <= v < n for v in (x, y, z)):
+            raise PresentationFormatError(f"line {ln}: triple entry not in 0..{n - 1}: {x} {y} {z}")
+        triples.update({(x, y, z), (y, z, x), (z, x, y)})
+    return TrianglePresentation(
         q=q,
         n=n,
         corr=Correspondence(header["a"], header["b"], scale % n),
-        triples=frozenset(
-            (x % n, y % n, z % n) for x, y, z in triples
-        ),
+        triples=frozenset(triples),
     )
-    return p

@@ -167,25 +167,25 @@ def load_dataset(path=None) -> Dataset:
         if len(parts) != 6:
             raise ValueError(f"line {ln}: expected 6 '|'-separated fields")
         qs, name, cls, gamma_s, k0_s, k0m_s = (p.strip() for p in parts)
-        q = int(qs)
+        try:
+            q = int(qs)
+        except ValueError:
+            raise ValueError(f"line {ln}: bad q {qs!r}") from None
         if cls not in LINEARITY_CLASSES:
             raise ValueError(f"line {ln}: unknown linearity class {cls!r}")
         key = (q, name)
         if key in seen:
             raise ValueError(f"line {ln}: duplicate row {key}")
         seen.add(key)
-        g_rank, gamma = parse_group_cell(gamma_s)
+        try:
+            g_rank, gamma = parse_group_cell(gamma_s)
+            k0, k0_mod_id = GroupCell.parse(k0_s), GroupCell.parse(k0m_s)
+        except CellParseError as err:
+            raise ValueError(f"line {ln}: {err}") from None
         if g_rank not in (None, 0):
             raise ValueError(f"line {ln}: gamma_ab cell has a free part: {gamma_s!r}")
         rows.append(
-            PaperRow(
-                q=q,
-                name=name,
-                linearity=cls,
-                gamma_ab=gamma,
-                k0=GroupCell.parse(k0_s),
-                k0_mod_id=GroupCell.parse(k0m_s),
-            )
+            PaperRow(q=q, name=name, linearity=cls, gamma_ab=gamma, k0=k0, k0_mod_id=k0_mod_id)
         )
     ds = Dataset(rows=tuple(rows))
     counts = {q: len(ds.by_q(q)) for q in ds.qs()}

@@ -142,6 +142,51 @@ def test_malformed_header_field(capsys, tmp_path, header, field):
     assert field in err
 
 
+# a q=2 class file as `enumerate --q 2 --all` writes it
+Q2_CLASS0 = "q=2\nN=7\na=1\nb=0\n0 1 3\n0 2 6\n0 4 5\n1 2 4\n1 5 6\n2 3 5\n3 4 6\n"
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("0 1 3", "7 8 10", "line 5: triple entry not in 0..6"),
+        ("0 1 3", "-7 1 3", "line 5: triple entry not in 0..6"),
+        ("b=0", "b=0\nb=0", "line 5: repeated header 'b'"),
+    ],
+    ids=["entry-above-range", "entry-below-range", "repeated-header"],
+)
+def test_malformed_presentation_line(capsys, tmp_path, old, new, message):
+    bad = tmp_path / "bad.tp"
+    bad.write_text(Q2_CLASS0.replace(old, new, 1))
+    code, out, err = run(capsys, "abelianize", "--in", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("2|A.1|", "x|A.1|", "line {ln}: bad q 'x'"),
+        ("|[(3)2,3]|", "|((3)2,3]|", "line {ln}: expected '[' in '((3)2,3]' (at position 0)"),
+    ],
+    ids=["q", "cell"],
+)
+def test_malformed_dataset_line_is_named(capsys, tmp_path, old, new, message):
+    from tripres.tables import _bundled_text
+
+    text = _bundled_text()
+    ln = text[: text.index(old)].count("\n") + 1
+    bad = tmp_path / "tables.txt"
+    bad.write_text(text.replace(old, new, 1))
+    code, out, err = run(capsys, "survey", "--data", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert message.format(ln=ln) in err
+
+
 def test_missing_file(capsys):
     code, _, err = run(capsys, "abelianize", "--in", "/nonexistent/x.tp")
     assert code == 2
