@@ -14,6 +14,7 @@ Such an f is irreducible, since x of order p^d - 1 makes all p^d - 1 nonzero
 residues units, so GF(p)[x]/(f) is a field; and one exists in every degree,
 so x is the generator for every q.  For q = 2 this yields x^3 + x + 1.
 """
+
 from __future__ import annotations
 
 from dataclasses import dataclass

@@ -204,7 +204,7 @@ def _x_has_order(n, f, p):
                 result = _poly_rem(_poly_mul(result, base, p), f, p)
             base = _poly_rem(_poly_mul(base, base, p), f, p)
             k >>= 1
-        return _poly_rem(result, f, p)
+        return result
 
     one = _poly_rem([1], f, p)
     return x_pow(n) == one and all(x_pow(n // r) != one for r in _prime_divisors(n))
