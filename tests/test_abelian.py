@@ -342,3 +342,31 @@ def test_abelianization_matches_sympy_on_random_relators():
         for _ in range(60):
             n = rng.randint(1, 6)
             _assert_matches_sympy(_gp(n, _random_relators(rng, n, shape)))
+
+
+@pytest.mark.parametrize(
+    "gp",
+    [
+        # one seed whose rows 4e and 6e give Z_2: the second row only lowers the index
+        _gp(1, [(1,) * 4, (1,) * 6]),
+        _gp(2, [(1,) * 4, (2, 2, 2), (1,) * 6, (1, 1, 1, 1, 2, 2, 2)]),
+        # fewer independent rows than seeds: free rank 1 and 2 at the end
+        _gp(3, [(1, 1, 2, 2), (2, 2, 2, 3, 3, 3), (1, 1, 2, 2, 1, 1, 2, 2)]),
+        _gp(3, [(1, 1, 1, 1), (1, 1, -2, -2)]),
+        # the first four rows already give the trivial group; the fifth is never needed
+        _gp(2, [(1, 1), (2, 2), (1, 1, 1), (2, 2, 2), (1, 1, 1, 1, 2, 2), (1,) * 9]),
+        # the second relator is zero once x2 = x1 is substituted; Z_3 is left
+        _gp(2, [(1, -2), (1, 1, -2, -2), (1, 1, 1)]),
+        _gp(3, [(1, -2), (2, -3), (1, -3, 1, -3), (2, 2)]),
+    ],
+)
+def test_abelianization_matches_sympy_on_core_growth_paths(gp):
+    _assert_matches_sympy(gp)
+
+
+def test_abelianization_matches_sympy_on_wide_random_cores():
+    # no unit coefficient anywhere, so every generator becomes a seed: 7-12 core columns
+    rng = random.Random(20261019)
+    for _ in range(60):
+        n = rng.randint(7, 12)
+        _assert_matches_sympy(_gp(n, _random_relators(rng, n, "nonunit")))
