@@ -10,10 +10,11 @@ unimodular U and V with U*M*V = D.
 
 `abelianization` solves generators on +-1 coefficients by lazy Tietze
 substitution: each generator is written once in terms of a few free seed
-generators, and each remaining relator is rewritten once, at the end, in
-those seeds (unit-pivot elimination after Havas-Holt-Rees, "Recognizing
-badly presented Z-modules", 1993).  The dense core that is left, a few
-seed columns wide, goes to `invariant_factors`.
+generators (unit-pivot elimination after Havas-Holt-Rees, "Recognizing
+badly presented Z-modules", 1993).  Of the remaining relators it keeps
+only those that enlarge the lattice spanned by the rows kept so far,
+tested in the Smith coordinates of `snf`; the few kept rows, a few seed
+columns wide, go to `invariant_factors`.
 """
 
 from __future__ import annotations
@@ -366,9 +367,24 @@ def abelianization(gp) -> AbelianGroup:
     the cokernel, and the relator is used up.  Ready relators are worked
     through with a stack.  When none is ready, the unsolved generator that
     lies in the most relators with exactly two unsolved generators (ties by
-    smallest index; else the first unsolved one) becomes a new seed.  The
-    unused relators, rewritten once in the seeds, form a dense core for
-    `invariant_factors`.
+    smallest index; else the first unsolved one) becomes a new seed.
+
+    The unused relators are then tested one by one against the lattice L
+    spanned by the kept rows K, written in the seeds.  With
+    U*K*V = D = `snf(K)`, L*V is the sum of d_i*Z, so a relator r lies in L
+    iff (r*V)_i = 0 mod d_i wherever d_i != 1 (d_i = 0 past the rank).
+    Each generator's image expr[j]*V is cached, reduced mod d_i, until the
+    next `snf`, so the test costs a few short vector sums.  A relator in L
+    is skipped without being rewritten; one outside L is rewritten in the
+    seeds and kept.  Once every d_i is 1 the quotient is trivial and the
+    rest are skipped.  The kept rows go to `invariant_factors`.
+
+    The result is the cokernel of the full core: a skipped relator lay in
+    span(K) when it was tested and the span only grows, so the kept rows
+    span the same lattice as all unused relators, and invariant factors
+    are unique.  Each kept row raises the rank or at least halves the
+    index, so at most seeds + log2(first full-rank index) rows are kept
+    (at most 10 over every catalog presentation for q <= 13).
     """
     n = gp.num_generators
     rows = _relator_rows(gp)
@@ -419,17 +435,33 @@ def abelianization(gp) -> AbelianGroup:
         u = min((j for j in range(n) if j not in expr), key=lambda j: (-pairs.get(j, 0), j))
         solve(u, {seeds: 1})
         seeds += 1
-    # a row, its negative and its repeats span the same lattice, so each
-    # core row is kept once with its first nonzero entry positive
-    core = set()
+    # kept rows K and the live Smith coordinates (i, d_i) of snf(K), d_i != 1;
+    # with no row kept yet V = I and every d_i = 0
+    kept: list[list[int]] = []
+    v = [[int(s == i) for i in range(seeds)] for s in range(seeds)]
+    live = [(i, 0) for i in range(seeds)]
+    img: dict[int, list[int]] = {}
     for row, done in zip(rows, used):
         if done:
             continue
-        v = [0] * seeds
+        t = [0] * len(live)
+        for j, c in row.items():
+            if j not in img:
+                ys = (sum(x * v[s][i] for s, x in expr[j].items()) for i, _ in live)
+                img[j] = [y % d if d else y for y, (_, d) in zip(ys, live)]
+            t = [a + c * b for a, b in zip(t, img[j])]
+        if not any(x % d if d else x for x, (_, d) in zip(t, live)):
+            continue
+        vec = [0] * seeds
         for j, c in row.items():
             for s, x in expr[j].items():
-                v[s] += c * x
-        if any(v):
-            core.add(tuple(v) if next(c for c in v if c) > 0 else tuple(-c for c in v))
-    factors = invariant_factors(sorted(core)) if core else ()
+                vec[s] += c * x
+        kept.append(vec)
+        res = snf(kept)
+        v = res.v
+        live = [(i, d) for i in range(seeds) if (d := res.d[i][i] if i < len(kept) else 0) != 1]
+        img.clear()
+        if not live:
+            break
+    factors = invariant_factors(kept) if kept else ()
     return AbelianGroup.from_invariant_factors(factors, rank=seeds - len(factors))

@@ -370,3 +370,29 @@ def test_abelianization_matches_sympy_on_wide_random_cores():
     for _ in range(60):
         n = rng.randint(7, 12)
         _assert_matches_sympy(_gp(n, _random_relators(rng, n, "nonunit")))
+
+
+def test_dense_core_keeps_few_rows(monkeypatch):
+    # every q=7..9 catalog group is finite, so each abelianization ends in one
+    # invariant_factors call; only rows that enlarge the lattice reach it
+    import tripres.abelian as abelian
+    from tripres.catalog import _fixed_representative
+    from tripres.plane import build_plane
+    from tripres.presentations import enumerate_all_invariant, group_presentation, twist_multiplier
+
+    sizes = []
+    real = abelian.invariant_factors
+
+    def record(matrix):
+        sizes.append(len(matrix))
+        return real(matrix)
+
+    monkeypatch.setattr(abelian, "invariant_factors", record)
+    for q in (7, 8, 9):
+        plane = build_plane(q)
+        for cls in enumerate_all_invariant(plane):
+            rep = _fixed_representative(cls, plane)
+            for k in range(3):
+                sizes.clear()
+                abelian.abelianization(group_presentation(twist_multiplier(rep, k) if k else rep))
+                assert len(sizes) == 1 and sizes[0] <= 16, (q, cls.index, k, sizes)
