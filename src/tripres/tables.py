@@ -48,9 +48,13 @@ def parse_group_cell(text: str) -> tuple[int | None, AbelianGroup]:
             i += 1
         return i
 
+    def at_digit(i: int) -> bool:
+        # ASCII only: str.isdigit also accepts digits such as '²' that int() rejects
+        return i < len(s) and "0" <= s[i] <= "9"
+
     def read_int(i: int) -> tuple[int, int]:
         j = i
-        while j < len(s) and s[j].isdigit():
+        while at_digit(j):
             j += 1
         if j == i:
             raise CellParseError(f"expected an integer in {s!r}", i)
@@ -58,7 +62,7 @@ def parse_group_cell(text: str) -> tuple[int | None, AbelianGroup]:
 
     i = skip_ws(i)
     rank: int | None = None
-    if i < len(s) and s[i].isdigit():
+    if at_digit(i):
         rank, i = read_int(i)
         i = skip_ws(i)
     if i >= len(s) or s[i] != "[":

@@ -170,8 +170,10 @@ def test_malformed_presentation_line(capsys, tmp_path, old, new, message):
     [
         ("2|A.1|", "x|A.1|", "line {ln}: bad q 'x'"),
         ("|[(3)2,3]|", "|((3)2,3]|", "line {ln}: expected '[' in '((3)2,3]' (at position 0)"),
+        ("|[(2)3,9]|", "|[(\u00b2)3,9]|", "line {ln}: expected an integer in '[(\u00b2)3,9]' (at position 2)"),
+        ("|14 [2,(2)3]|", "|1\u2074 [2,(2)3]|", "line {ln}: expected '[' in '1\u2074 [2,(2)3]' (at position 1)"),
     ],
-    ids=["q", "cell"],
+    ids=["q", "cell", "superscript-count", "superscript-rank"],
 )
 def test_malformed_dataset_line_is_named(capsys, tmp_path, old, new, message):
     from tripres.tables import _bundled_text
