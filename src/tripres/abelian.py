@@ -254,15 +254,12 @@ class AbelianGroup:
                 raise ValueError(f"{pk} is not a prime power")
             (p, e), = fac.items()
             by_prime.setdefault(p, []).append(e)
-        for exps in by_prime.values():
+        # the k-th largest divisor takes the k-th largest exponent of each prime
+        chain = [1] * max(map(len, by_prime.values()), default=0)
+        for p, exps in by_prime.items():
             exps.sort(reverse=True)
-        chain = []
-        while any(by_prime.values()):
-            d = 1
-            for p, exps in by_prime.items():
-                if exps:
-                    d *= p ** exps.pop(0)
-            chain.append(d)
+            for k, e in enumerate(exps):
+                chain[k] *= p ** e
         chain.reverse()
         return cls(rank=rank, divisors=tuple(chain))
 

@@ -40,6 +40,27 @@ def test_composite_orders_split_into_prime_powers(items):
     assert parse_group_cell(cell) == (None, AbelianGroup.from_primary(split))
 
 
+def _chain_by_popping(primaries):
+    """The divisor chain as from_primary built it before: pop each prime's
+    largest exponent into d_1, then the next largest into d_2, and so on."""
+    by_prime = {}
+    for pk in primaries:
+        ((p, e),) = factorize(pk).items()
+        by_prime.setdefault(p, []).append(e)
+    for exps in by_prime.values():
+        exps.sort(reverse=True)
+    chain = []
+    while any(by_prime.values()):
+        chain.append(prod(p ** exps.pop(0) for p, exps in by_prime.items() if exps))
+    return tuple(reversed(chain))
+
+
+@SETTINGS
+@given(st.lists(prime_powers, max_size=20))
+def test_from_primary_chain_unchanged(primaries):
+    assert AbelianGroup.from_primary(primaries).divisors == _chain_by_popping(primaries)
+
+
 def test_composite_cell_example():
     assert parse_group_cell("[10,(2)6]") == (None, AbelianGroup.from_primary([2, 5, 2, 3, 2, 3]))
 

@@ -62,6 +62,16 @@ def test_parse_errors_carry_position():
         assert err.value.position >= 0
 
 
+def test_long_repetition_parses_in_linear_time():
+    # building the divisor chain used to pop from the front of a list: about 5 s here
+    import time
+
+    start = time.perf_counter()
+    rank, g = parse_group_cell("[(200000)2]")
+    assert time.perf_counter() - start < 1.0
+    assert rank is None and g.divisors == (2,) * 200000
+
+
 def test_format_inverts_parse():
     for text in ("[(3)2,3]", "26 [2]", "4 []", "0 [(6)2,3]", "[3,9]", "[2,8,3]"):
         rank, g = parse_group_cell(text)
