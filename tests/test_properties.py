@@ -1,18 +1,22 @@
-"""Property tests for the bracket cell grammar, the integer factorizer and
-abelianization.
+"""Property tests for the bracket cell grammar, the integer factorizer,
+abelianization and the `.tp` presentation reader.
 
 Examples are derandomized and the example database is off, so every run
 checks the same inputs.
 """
 
+import io
+from contextlib import redirect_stderr, redirect_stdout
 from math import prod
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy import ZZ, Matrix, factorint, isprime
 from sympy.matrices.normalforms import invariant_factors as sympy_factors
 
 from tripres.abelian import AbelianGroup, abelianization, relation_matrix
+from tripres.cli import main
 from tripres.gf import factorize
 from tripres.presentations import GroupPresentation
 from tripres.tables import format_group_cell, parse_group_cell
@@ -120,3 +124,68 @@ def test_abelianization_matches_sympy_on_three_letter_presentations(gp):
     factors = [int(d) for d in sympy_factors(matrix, domain=ZZ) if d]
     want = AbelianGroup.from_invariant_factors(factors, rank=gp.num_generators - len(factors))
     assert _group(gp) == (want.rank, want.divisors)
+
+
+# a valid q=2 class file: header lines, then one triple per rotation class
+Q2_CLASS0 = ["q=2", "N=7", "a=1", "b=0", "0 1 3", "0 2 6", "0 4 5", "1 2 4", "1 5 6", "2 3 5", "3 4 6"]
+JUNK = ("x", "-1", "=", "#", "q=3", "N=13", "scale=2", "99", "7", "1 2", "7 7 7", "\t", "\u00b2", "1_0", "0x1")
+
+
+@st.composite
+def mutated_class_files(draw):
+    """The q=2 class file after 1-4 random line drops, line repeats, digit
+    swaps and junk insertions."""
+    lines = list(Q2_CLASS0)
+    for _ in range(draw(st.integers(1, 4))):
+        op = draw(st.sampled_from(("drop", "repeat", "swap", "junk")))
+        k = draw(st.integers(0, max(len(lines) - 1, 0)))
+        if op == "drop" and lines:
+            del lines[k]
+        elif op == "repeat" and lines:
+            lines.insert(k, lines[k])
+        elif op == "swap":
+            text = "\n".join(lines)
+            digits = [i for i, c in enumerate(text) if c.isdigit()]
+            if len(digits) >= 2:
+                i, j = sorted(draw(st.lists(st.sampled_from(digits), min_size=2, max_size=2, unique=True)))
+                text = text[:i] + text[j] + text[i + 1 : j] + text[i] + text[j + 1 :]
+            lines = text.split("\n")
+        else:
+            junk = draw(st.sampled_from(JUNK))
+            if lines and draw(st.booleans()):
+                at = draw(st.integers(0, len(lines[k])))
+                lines[k] = lines[k][:at] + junk + lines[k][at:]
+            else:
+                lines.insert(k, junk)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def tp_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "in.tp"
+
+
+def _assert_abelianize_exits_cleanly(path, text):
+    path.write_text(text, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["abelianize", "--in", str(path)])
+    out, err = out.getvalue(), err.getvalue()
+    if code == 0:
+        assert err == ""
+        assert out.count("\n") == 3 and out.splitlines()[-1].startswith("[")
+    else:
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@SETTINGS
+@given(mutated_class_files())
+def test_mutated_class_file_gives_a_group_or_one_error_line(tp_path, text):
+    _assert_abelianize_exits_cleanly(tp_path, text)
+
+
+@SETTINGS
+@given(st.text(st.characters(blacklist_categories=("Cs",)), max_size=200))
+def test_random_text_gives_one_error_line(tp_path, text):
+    _assert_abelianize_exits_cleanly(tp_path, text)
