@@ -4,8 +4,9 @@ The abelianization of <x_0..x_{N-1} | x_a x_b x_c> is the cokernel of the
 exponent-sum matrix, computed exactly over the integers.  `snf` returns
 the full U*M*V = D factorization; `abelianization` first solves each
 generator once, on a +-1 coefficient, in terms of a few seed generators,
-then takes the transform-free invariant factors of the relators left over,
-rewritten in the seeds, and agrees with it.
+keeps only the leftover relators that enlarge the lattice spanned by the
+rows kept so far (tested in the coordinates of `snf`), and takes the
+transform-free invariant factors of those few rows, which agree with it.
 """
 
 from tripres.abelian import AbelianGroup, abelianization, relation_matrix, snf

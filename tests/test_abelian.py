@@ -357,7 +357,7 @@ def test_abelianization_matches_sympy_on_random_relators():
         # fewer independent rows than seeds: free rank 1 and 2 at the end
         _gp(3, [(1, 1, 2, 2), (2, 2, 2, 3, 3, 3), (1, 1, 2, 2, 1, 1, 2, 2)]),
         _gp(3, [(1, 1, 1, 1), (1, 1, -2, -2)]),
-        # the first four rows already give the trivial group; the fifth is never needed
+        # the first four rows already give the trivial group; the last two are never needed
         _gp(2, [(1, 1), (2, 2), (1, 1, 1), (2, 2, 2), (1, 1, 1, 1, 2, 2), (1,) * 9]),
         # the second relator is zero once x2 = x1 is substituted; Z_3 is left
         _gp(2, [(1, -2), (1, 1, -2, -2), (1, 1, 1)]),

@@ -63,7 +63,7 @@ def test_parse_errors_carry_position():
 
 
 def test_long_repetition_parses_in_linear_time():
-    # building the divisor chain used to pop from the front of a list: about 5 s here
+    # popping each exponent from the front of a list made the divisor chain quadratic
     import time
 
     start = time.perf_counter()
