@@ -203,6 +203,50 @@ def test_verify_q2(capsys):
     assert "skipped B.1" in out
 
 
+Q2_SKIPPED = "".join(
+    f"  skipped {name}: not in the invariant-presentation catalog\n"
+    for name in ("A.4", "B.1", "B.2", "B.3", "C.1")
+)
+
+
+@pytest.mark.parametrize(
+    "old, new, report",
+    [
+        (
+            "2|A.2|function-field|[2,3,7]|",
+            "2|A.2|function-field|[5]|",
+            "  match A.1': class 0 gamma_ab=[(3)2,3] twists=[2,3,7],[2,3]\n"
+            "  MISMATCH family A.1: base matches orbit 0 but twist values differ\n",
+        ),
+        (
+            "2|A.1'|function-field|[(3)2,3]|",
+            "2|A.1'|function-field|[5]|",
+            "  match A.1: class 0 gamma_ab=[(3)2,3] twists=[2,3,7],[2,3]\n"
+            "  UNMATCHED family A.1'\n",
+        ),
+    ],
+    ids=["twist-mismatch", "base-unmatched"],
+)
+def test_verify_reports_failures(capsys, tmp_path, old, new, report):
+    from tripres.tables import _bundled_text
+
+    text = _bundled_text()
+    assert old in text
+    edited = tmp_path / "tables.txt"
+    edited.write_text(text.replace(old, new, 1))
+    code, out, err = run(capsys, "verify", "--q", "2", "--data", str(edited))
+    assert code == 1
+    assert err == ""
+    assert out == (
+        "# generated-by: tripres 0.1.0\n"
+        "q=2: families_matched=1 extras=1\n"
+        + report
+        + "  extra class 1 (inverse of 0): gamma_ab=[(3)2,3]\n"
+        + Q2_SKIPPED
+        + "verification FAILED\n"
+    )
+
+
 def test_verify_rejects_unknown_q(capsys):
     code, _, err = run(capsys, "verify", "--q", "13")
     assert code == 2
