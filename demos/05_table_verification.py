@@ -6,7 +6,7 @@ K columns are data only, and feed the torsion-doubling survey: away from
 the prime 3, the torsion of K0/<[id]> tends to be two copies of gamma_ab.
 """
 
-from tripres.catalog import computed_mapping
+from tripres.catalog import invariant_catalog
 from tripres.tables import (
     heuristic_survey,
     load_dataset,
@@ -22,8 +22,7 @@ print(f"\nsample row q=2 A.2: gamma_ab={row.gamma_ab} K0={row.k0.normalized()} "
       f"K0/<[id]>={row.k0_mod_id.normalized()}  doubling: {twice_heuristic(row)}")
 
 print("\nrecomputing gamma_ab for every q and matching the tables:")
-computed = computed_mapping(ds.qs())
-report = verify_abelianizations(ds, computed)
+report = verify_abelianizations(ds, {q: invariant_catalog(q) for q in ds.qs()})
 for sec in report.sections:
     status = "ok" if sec.ok else "MISMATCH"
     print(f"  q={sec.q:>2}: {len(sec.matched)} families matched, "

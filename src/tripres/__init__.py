@@ -19,7 +19,7 @@ from .abelian import (
     relation_matrix,
     snf,
 )
-from .catalog import TwistOrbit, computed_mapping, invariant_catalog
+from .catalog import TwistOrbit, invariant_catalog
 from .gf import (
     SUPPORTED_Q,
     FieldContext,

@@ -263,10 +263,6 @@ class AbelianGroup:
         chain.reverse()
         return cls(rank=rank, divisors=tuple(chain))
 
-    @classmethod
-    def trivial(cls) -> "AbelianGroup":
-        return cls(rank=0, divisors=())
-
     @cached_property
     def primary_factors(self) -> tuple[int, ...]:
         """Prime powers sorted by (prime, exponent); the canonical form."""

@@ -22,8 +22,6 @@ from .presentations import (
     twist_multiplier,
 )
 
-TWIST_TAGS = ("base", "q", "q2")
-
 
 def key_digest(canonical_key) -> str:
     """Short stable digest of a canonical triple list, used in label files."""
@@ -39,12 +37,7 @@ class TwistOrbit:
     twist_q: AbelianGroup
     twist_q2: AbelianGroup
     inverse_index: int
-    shift: int
-    sigma: str
     key_digest: str
-
-    def values(self) -> dict[str, AbelianGroup]:
-        return {"base": self.base, "q": self.twist_q, "q2": self.twist_q2}
 
     def signature(self) -> tuple:
         return tuple(sorted(g.sort_key() for g in (self.base, self.twist_q, self.twist_q2)))
@@ -70,7 +63,6 @@ def invariant_catalog(q: int) -> tuple[TwistOrbit, ...]:
         base = abelianization(group_presentation(rep))
         g1 = abelianization(group_presentation(twist_multiplier(rep, 1)))
         g2 = abelianization(group_presentation(twist_multiplier(rep, 2)))
-        b0, sigma0 = cls.members[0]
         orbits.append(
             TwistOrbit(
                 q=q,
@@ -79,19 +71,8 @@ def invariant_catalog(q: int) -> tuple[TwistOrbit, ...]:
                 twist_q=g1,
                 twist_q2=g2,
                 inverse_index=cls.inverse_index,
-                shift=b0,
-                sigma=sigma0.describe(),
                 key_digest=key_digest(cls.canonical_key),
             )
         )
     return tuple(orbits)
 
-
-def computed_mapping(qs) -> dict[tuple[int, tuple[int, str]], AbelianGroup]:
-    """The (q, (class index, twist tag)) -> group association fed to verify."""
-    out: dict[tuple[int, tuple[int, str]], AbelianGroup] = {}
-    for q in qs:
-        for orbit in invariant_catalog(q):
-            for tag, group in orbit.values().items():
-                out[(q, (orbit.index, tag))] = group
-    return out

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import __version__
 from .abelian import abelianization
-from .catalog import computed_mapping, invariant_catalog, key_digest
+from .catalog import invariant_catalog, key_digest
 from .gf import SUPPORTED_Q, build_field, poly_str
 from .plane import build_plane, check_difference_set
 from .presentations import (
@@ -190,15 +190,14 @@ def cmd_abelianize(args) -> int:
 def cmd_verify(args) -> int:
     labels = _load_labels(args.labels)
     ds = load_dataset(args.data)
-    qs = ds.qs() if args.all_q else (args.q,)
     if not args.all_q and args.q not in ds.qs():
         print(f"error: q={args.q} not present in the dataset", file=sys.stderr)
         return 2
-    computed = computed_mapping(qs)
-    report = verify_abelianizations(ds, computed, qs=qs)
+    catalogs = {q: invariant_catalog(q) for q in (ds.qs() if args.all_q else (args.q,))}
+    report = verify_abelianizations(ds, catalogs)
     print(_header())
     for sec in report.sections:
-        catalog = {o.index: o for o in invariant_catalog(sec.q)}
+        catalog = catalogs[sec.q]
         print(f"q={sec.q}: families_matched={len(sec.matched)} extras={len(sec.extra_orbits)}")
         for fam, idx in sec.matched:
             o = catalog[idx]

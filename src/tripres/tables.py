@@ -12,9 +12,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from importlib import resources
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .abelian import AbelianGroup, away_from, direct_double, iso_equal
+from .catalog import TwistOrbit
 from .gf import factorize
 
 EXPECTED_ROW_COUNTS = {2: 9, 3: 90, 4: 6, 5: 7, 7: 19, 8: 6, 9: 9, 11: 24}
@@ -334,78 +335,45 @@ class VerificationReport:
         return all(s.ok for s in self.sections)
 
 
-def _orbit_structures(q: int, computed: Mapping) -> dict[int, dict[str, AbelianGroup]]:
-    orbits: dict[int, dict[str, AbelianGroup]] = {}
-    for (qq, descriptor), group in computed.items():
-        if qq != q:
-            continue
-        idx, tag = descriptor
-        orbits.setdefault(idx, {})[tag] = group
-    return orbits
-
-
 def verify_abelianizations(
-    ds: Dataset, computed: Mapping[tuple[int, tuple[int, str]], AbelianGroup], qs=None
+    ds: Dataset, catalogs: Mapping[int, Sequence[TwistOrbit]]
 ) -> VerificationReport:
     """Match computed twist orbits against the table families of each q.
 
-    Published twist numbering is ambiguous where families share identical
-    abelianization data, so families are matched to computed orbits by the
-    unordered multiset of the orbit's three values; if the table names more
-    families with one signature than the computation produced, the surplus
-    families are reported unmatched.  Computed orbits beyond the table
-    (e.g. the generator-inverse partner of a listed class, which has the
-    same data) are reported as extras, not failures.
+    `catalogs` maps each q to check to `invariant_catalog(q)`, whose item i
+    is class i.  Published twist numbering is ambiguous where families share
+    identical abelianization data, so families are matched to computed
+    orbits by the unordered multiset of the orbit's three values; if the
+    table names more families with one signature than the computation
+    produced, the surplus families are reported unmatched.  Computed orbits
+    beyond the table (e.g. the generator-inverse partner of a listed class,
+    which has the same data) are reported as extras, not failures.
     """
     sections = []
-    for q in qs if qs is not None else ds.qs():
-        fams = published_families(ds, q)
-        orbits = _orbit_structures(q, computed)
-        orbit_sig = {
-            idx: tuple(sorted(g.sort_key() for g in parts.values()))
-            for idx, parts in orbits.items()
-        }
+    for q, catalog in catalogs.items():
         matched: list[tuple[str, int]] = []
         unmatched: list[str] = []
         mismatched: list[tuple[str, str]] = []
-        assigned: set[int] = set()
+        free = list(catalog)
 
-        for fam in fams:
-            want = fam.signature()
-            pick = None
+        for fam in published_families(ds, q):
+            base = fam.cells[0]
+            same_base = [o for o in free if iso_equal(o.base, base)]
             if fam.complete:
-                for idx in sorted(orbit_sig):
-                    if idx not in assigned and orbit_sig[idx] == want:
-                        pick = idx
-                        break
+                want = fam.signature()
+                pick = next((o for o in free if o.signature() == want), None)
             else:
-                base = fam.cells[0]
-                for idx in sorted(orbit_sig):
-                    if idx in assigned:
-                        continue
-                    got = orbits[idx].get("base")
-                    if got is not None and iso_equal(got, base):
-                        pick = idx
-                        break
-            if pick is None:
-                base = fam.cells[0]
-                near = [
-                    idx
-                    for idx in sorted(orbit_sig)
-                    if idx not in assigned
-                    and iso_equal(orbits[idx].get("base", AbelianGroup.trivial()), base)
-                ]
-                if near:
-                    mismatched.append(
-                        (fam.name, f"base matches orbit {near[0]} but twist values differ")
-                    )
-                else:
-                    unmatched.append(fam.name)
-                continue
-            assigned.add(pick)
-            matched.append((fam.name, pick))
+                pick = same_base[0] if same_base else None
+            if pick is not None:
+                free.remove(pick)
+                matched.append((fam.name, pick.index))
+            elif same_base:
+                mismatched.append(
+                    (fam.name, f"base matches orbit {same_base[0].index} but twist values differ")
+                )
+            else:
+                unmatched.append(fam.name)
 
-        extra = tuple(idx for idx in sorted(orbit_sig) if idx not in assigned)
         skipped = tuple(
             (r.name, "no triangle presentation given for this group")
             for r in ds.by_q(q)
@@ -424,7 +392,7 @@ def verify_abelianizations(
                 matched=tuple(matched),
                 unmatched=tuple(unmatched),
                 mismatched=tuple(mismatched),
-                extra_orbits=extra,
+                extra_orbits=tuple(o.index for o in free),
                 skipped=skipped,
             )
         )

@@ -136,7 +136,7 @@ def test_from_primary_builds_chain():
 
 def test_bracket_rendering():
     assert str(AbelianGroup.from_primary([2, 2, 2, 3])) == "[(3)2,3]"
-    assert str(AbelianGroup.trivial()) == "[]"
+    assert str(AbelianGroup(rank=0, divisors=())) == "[]"
     assert str(AbelianGroup.from_primary([3, 9])) == "[3,9]"
 
 
@@ -165,7 +165,7 @@ def test_iso_equal_distinguishes_primary_types():
 def test_rank_tracked():
     g = AbelianGroup(rank=4, divisors=())
     assert direct_double(g).rank == 8
-    assert not iso_equal(g, AbelianGroup.trivial())
+    assert not iso_equal(g, AbelianGroup(rank=0, divisors=()))
 
 
 def _gp(num_generators, relators):

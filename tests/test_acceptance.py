@@ -24,7 +24,7 @@ from tripres.abelian import (
     iso_equal,
     snf,
 )
-from tripres.catalog import computed_mapping, invariant_catalog
+from tripres.catalog import invariant_catalog
 from tripres.gf import SUPPORTED_Q
 from tripres.plane import build_plane, check_difference_set
 from tripres.presentations import (
@@ -63,26 +63,21 @@ def ds():
 
 
 @pytest.fixture(scope="module")
-def computed():
-    return computed_mapping(TABLE_QS)
+def catalogs():
+    return {q: invariant_catalog(q) for q in TABLE_QS}
 
 
-def _orbit_value(q, idx, tag, computed):
-    return computed[(q, (idx, tag))]
-
-
-def test_criterion_1_gamma_regression(ds, computed):
+def test_criterion_1_gamma_regression(ds, catalogs):
     """Every enumerated class and its twists match the table cells per orbit."""
     t0 = time.time()
-    rep = verify_abelianizations(ds, computed, qs=TABLE_QS)
+    rep = verify_abelianizations(ds, catalogs)
     ok = rep.ok
 
     # spot anchors
     anchors_ok = True
-    q2 = {str(_orbit_value(2, 0, t, computed)) for t in ("base",)}
-    anchors_ok &= q2 == {"[(3)2,3]"}
-    twists = {str(_orbit_value(2, 0, t, computed)) for t in ("q", "q2")}
-    anchors_ok &= twists == {"[2,3,7]", "[2,3]"}
+    q2 = catalogs[2][0]
+    anchors_ok &= str(q2.base) == "[(3)2,3]"
+    anchors_ok &= {str(q2.twist_q), str(q2.twist_q2)} == {"[2,3,7]", "[2,3]"}
     anchors_ok &= any(
         str(o.base) == "[3,(3)5]" for o in invariant_catalog(5)
     )

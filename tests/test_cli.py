@@ -277,11 +277,11 @@ def test_labels_file(capsys, tmp_path):
 def test_verify_reads_labels_before_computing(capsys, tmp_path, monkeypatch):
     calls = []
 
-    def refuse(qs):
-        calls.append(qs)
+    def refuse(q):
+        calls.append(q)
         raise AssertionError("catalogs built before the labels were read")
 
-    monkeypatch.setattr("tripres.cli.computed_mapping", refuse)
+    monkeypatch.setattr("tripres.cli.invariant_catalog", refuse)
     code, out, err = run(capsys, "verify", "--q", "2", "--labels", str(tmp_path / "missing"))
     assert code == 2
     assert err.startswith("error:") and err.count("\n") == 1

@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import pytest
 
 from tripres.abelian import AbelianGroup, iso_equal
-from tripres.catalog import computed_mapping, invariant_catalog
+from tripres.catalog import invariant_catalog
 from tripres.tables import (
     CellParseError,
     EXPECTED_ROW_COUNTS,
@@ -186,8 +188,8 @@ def test_published_families_q2(ds):
 
 
 def test_verification_full(ds):
-    computed = computed_mapping(ds.qs())
-    report = verify_abelianizations(ds, computed)
+    catalogs = {q: invariant_catalog(q) for q in ds.qs()}
+    report = verify_abelianizations(ds, catalogs)
     assert report.ok
     by_q = {s.q: s for s in report.sections}
     assert len(by_q[11].matched) == 8
@@ -195,24 +197,21 @@ def test_verification_full(ds):
     # extras are the generator-inverse partners; every extra orbit shares its
     # signature with some matched orbit
     for sec in report.sections:
-        orbits = {o.index: o for o in invariant_catalog(sec.q)}
+        orbits = catalogs[sec.q]
         matched_sigs = {orbits[idx].signature() for _, idx in sec.matched}
         for idx in sec.extra_orbits:
             assert orbits[idx].signature() in matched_sigs
 
 
 def test_verification_detects_mismatch(ds):
-    computed = computed_mapping((2,))
+    catalog = invariant_catalog(2)
     # corrupt one value: the base of class 0
-    computed[(2, (0, "base"))] = AbelianGroup.from_primary([2])
-    report = verify_abelianizations(ds, computed, qs=(2,))
+    corrupt = replace(catalog[0], base=AbelianGroup.from_primary([2]))
+    report = verify_abelianizations(ds, {2: (corrupt,) + catalog[1:]})
     assert not report.ok
 
 
 def test_verification_detects_missing_orbit(ds):
-    computed = {
-        k: v for k, v in computed_mapping((2,)).items() if k[1][0] == 0
-    }
-    report = verify_abelianizations(ds, computed, qs=(2,))
+    report = verify_abelianizations(ds, {2: invariant_catalog(2)[:1]})
     assert not report.ok
     assert report.sections[0].unmatched == ("A.1'",)
