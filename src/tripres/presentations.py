@@ -28,6 +28,7 @@ sets (used in the tests) confirms the reduction at q = 2.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
@@ -530,6 +531,13 @@ class PresentationFormatError(ValueError):
     pass
 
 
+def read_int(text: str) -> int:
+    """An optional sign and ASCII digits; int() alone also reads '٦' or '0_6' as 6."""
+    if not re.fullmatch(r"[+-]?[0-9]+", text.strip()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def presentation_to_text(p: TrianglePresentation, note: str = "") -> str:
     lines = []
     if note:
@@ -560,7 +568,7 @@ def presentation_from_text(text: str) -> TrianglePresentation:
             if key in header:
                 raise PresentationFormatError(f"line {ln}: repeated header {key!r}")
             try:
-                header[key] = int(val)
+                header[key] = read_int(val)
             except ValueError:
                 raise PresentationFormatError(f"line {ln}: bad integer {val!r}") from None
             continue
@@ -568,7 +576,7 @@ def presentation_from_text(text: str) -> TrianglePresentation:
         if len(parts) != 3:
             raise PresentationFormatError(f"line {ln}: expected 'x y z', got {line!r}")
         try:
-            x, y, z = (int(v) for v in parts)
+            x, y, z = (read_int(v) for v in parts)
         except ValueError:
             raise PresentationFormatError(f"line {ln}: bad triple {line!r}") from None
         rows.append((ln, (x, y, z)))

@@ -17,6 +17,7 @@ from typing import Mapping, Sequence
 from .abelian import AbelianGroup, away_from, direct_double, iso_equal
 from .catalog import TwistOrbit
 from .gf import factorize
+from .presentations import read_int
 
 EXPECTED_ROW_COUNTS = {2: 9, 3: 90, 4: 6, 5: 7, 7: 19, 8: 6, 9: 9, 11: 24}
 
@@ -173,7 +174,7 @@ def load_dataset(path=None) -> Dataset:
             raise ValueError(f"line {ln}: expected 6 '|'-separated fields")
         qs, name, cls, gamma_s, k0_s, k0m_s = (p.strip() for p in parts)
         try:
-            q = int(qs)
+            q = read_int(qs)
         except ValueError:
             raise ValueError(f"line {ln}: bad q {qs!r}") from None
         if cls not in LINEARITY_CLASSES:

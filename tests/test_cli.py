@@ -152,8 +152,18 @@ Q2_CLASS0 = "q=2\nN=7\na=1\nb=0\n0 1 3\n0 2 6\n0 4 5\n1 2 4\n1 5 6\n2 3 5\n3 4 6
         ("0 1 3", "7 8 10", "line 5: triple entry not in 0..6"),
         ("0 1 3", "-7 1 3", "line 5: triple entry not in 0..6"),
         ("b=0", "b=0\nb=0", "line 5: repeated header 'b'"),
+        ("3 4 6", "3 4 \u0666", "line 11: bad triple '3 4 \u0666'"),
+        ("3 4 6", "3 4 0_6", "line 11: bad triple '3 4 0_6'"),
+        ("q=2", "q=\u0662", "line 1: bad integer '\u0662'"),
     ],
-    ids=["entry-above-range", "entry-below-range", "repeated-header"],
+    ids=[
+        "entry-above-range",
+        "entry-below-range",
+        "repeated-header",
+        "arabic-indic-entry",
+        "underscore-entry",
+        "arabic-indic-header",
+    ],
 )
 def test_malformed_presentation_line(capsys, tmp_path, old, new, message):
     bad = tmp_path / "bad.tp"
@@ -169,11 +179,12 @@ def test_malformed_presentation_line(capsys, tmp_path, old, new, message):
     "old, new, message",
     [
         ("2|A.1|", "x|A.1|", "line {ln}: bad q 'x'"),
+        ("2|A.1|", "1_1|A.1|", "line {ln}: bad q '1_1'"),
         ("|[(3)2,3]|", "|((3)2,3]|", "line {ln}: expected '[' in '((3)2,3]' (at position 0)"),
         ("|[(2)3,9]|", "|[(\u00b2)3,9]|", "line {ln}: expected an integer in '[(\u00b2)3,9]' (at position 2)"),
         ("|14 [2,(2)3]|", "|1\u2074 [2,(2)3]|", "line {ln}: expected '[' in '1\u2074 [2,(2)3]' (at position 1)"),
     ],
-    ids=["q", "cell", "superscript-count", "superscript-rank"],
+    ids=["q", "underscore-q", "cell", "superscript-count", "superscript-rank"],
 )
 def test_malformed_dataset_line_is_named(capsys, tmp_path, old, new, message):
     from tripres.tables import _bundled_text
