@@ -96,6 +96,8 @@ def cmd_plane(args) -> int:
 
 def cmd_enumerate(args) -> int:
     labels = _load_labels(args.labels)
+    if args.all_shifts and args.out_dir:
+        Path(args.out_dir).mkdir(parents=True, exist_ok=True)
     plane = build_plane(args.q)
     print(_header(args.q))
     if not args.all_shifts:
@@ -117,9 +119,7 @@ def cmd_enumerate(args) -> int:
             f"inverse={c.inverse_index} key={digest}"
         )
         if args.out_dir:
-            out = Path(args.out_dir)
-            out.mkdir(parents=True, exist_ok=True)
-            path = out / f"q{args.q}_class{c.index}.tp"
+            path = Path(args.out_dir) / f"q{args.q}_class{c.index}.tp"
             path.write_text(
                 presentation_to_text(
                     c.representative, note=f"q={args.q} class {c.index} key {digest}"

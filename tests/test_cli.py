@@ -309,6 +309,15 @@ def test_enumerate_reads_labels_before_printing(capsys, tmp_path):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_enumerate_out_dir_is_made_before_printing(capsys, tmp_path):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    code, out, err = run(capsys, "enumerate", "--q", "2", "--all", "--out-dir", str(taken))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_output_deterministic(capsys):
     _, out1, _ = run(capsys, "enumerate", "--q", "3", "--all")
     _, out2, _ = run(capsys, "enumerate", "--q", "3", "--all")
