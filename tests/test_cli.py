@@ -46,6 +46,24 @@ def test_field_and_plane_output_pinned(capsys):
     assert digest == "a2e4b265e9fb3705737c06a1018e86d066c2b15254c8ab340e13dd6dae9722f4"
 
 
+@pytest.mark.parametrize(
+    "argv, exit_code, digest",
+    [
+        (("verify", "--all"), 0, "e27fd6bdefff5b46730d7281d70e5c7ae3916fa2e891e9382e57d42b45cf00e5"),
+        (("survey",), 1, "7e593e6a796af27c47c48adb76e288c10c7a01a7e2991a106cff5eb01c6a88b6"),
+        (("enumerate", "--q", "13", "--all"), 0,
+         "5936f3d24d67a0d0d4d5d3629e502338c5a20d88c5a8d06080d4f4bda7a0bee0"),
+    ],
+    ids=["verify-all", "survey", "enumerate-q13-all"],
+)
+def test_command_output_pinned(capsys, argv, exit_code, digest):
+    import hashlib
+
+    code, out, _ = run(capsys, *argv)
+    assert code == exit_code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_enumerate_all_q2(capsys, tmp_path):
     code, out, _ = run(capsys, "enumerate", "--q", "2", "--all", "--out-dir", str(tmp_path))
     assert code == 0
