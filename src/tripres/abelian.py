@@ -3,10 +3,15 @@
 Smith normal form is computed over Python ints (intermediate entries can
 exceed machine range even for small inputs) by one elimination core with a
 deterministic pivot rule: the nonzero entry of minimal absolute value, ties
-broken by smallest row then column.  `invariant_factors` runs the core on
-the bare matrix; `snf` runs it on the matrix augmented by identity blocks,
-[M | I] over [I | 0], so the same row and column moves build the
-unimodular U and V with U*M*V = D.
+broken by smallest row then column.  Once the pivot's row and column are
+clear, a later row holding an entry the pivot does not divide is added to
+the pivot row and cleared again, which lowers the pivot to a gcd (Cohen, A
+Course in Computational Algebraic Number Theory, 2.4); then the pivot row
+is negated if need be, so the diagonal is a nonnegative divisor chain as
+it is built.  `invariant_factors` runs the core on the bare matrix; `snf`
+runs it on the matrix augmented by identity blocks, [M | I] over [I | 0],
+so the same row and column moves build the unimodular U and V with
+U*M*V = D.
 
 `abelianization` solves generators on +-1 coefficients by lazy Tietze
 substitution: each generator is written once in terms of a few free seed
@@ -95,11 +100,6 @@ def _combine_cols(a, j1, j2, c11, c12, c21, c22) -> None:
         row[j2] = c21 * x + c22 * y
 
 
-def _negate_if_negative(a, i) -> None:
-    if a[i][i] < 0:
-        a[i] = [-x for x in a[i]]
-
-
 def _smith(a: list[list[int]], m: int, n: int) -> None:
     """Bring the leading m x n block of the rows `a` to Smith form in place.
 
@@ -140,30 +140,18 @@ def _smith(a: list[list[int]], m: int, n: int) -> None:
                         x, y, g = xgcd(p, r)
                         _combine_cols(a, t, j, x, y, -(r // g), p // g)
                         dirty = True
-            if not dirty and not any(a[i][t] for i in range(t + 1, m)):
+            if dirty or any(a[i][t] for i in range(t + 1, m)):
+                continue
+            # divisor chain: add a row holding an entry the pivot does not
+            # divide; clearing it again lowers the pivot to a gcd
+            p = a[t][t]
+            i = next((i for i in range(t + 1, m) if any(x % p for x in a[i][t + 1:n])), None)
+            if i is None:
                 break
+            a[t] = [x + y for x, y in zip(a[t], a[i])]
+        if a[t][t] < 0:
+            a[t] = [-x for x in a[t]]
         t += 1
-
-    size = min(m, n)
-    for i in range(size):
-        _negate_if_negative(a, i)
-    # enforce the divisor chain: put d_{i+1} next to d_i by a row move,
-    # replace the pair by gcd and lcm, and clear the stray entry
-    changed = True
-    while changed:
-        changed = False
-        for i in range(size - 1):
-            di, dj = a[i][i], a[i + 1][i + 1]
-            if di and dj and dj % di:
-                _combine_rows(a, i, i + 1, 1, 1, 0, 1)
-                x, y, g = xgcd(di, dj)
-                _combine_cols(a, i, i + 1, x, y, -(dj // g), di // g)
-                rr = a[i + 1][i]
-                if rr:
-                    _combine_rows(a, i, i + 1, 1, 0, -(rr // a[i][i]), 1)
-                _negate_if_negative(a, i)
-                _negate_if_negative(a, i + 1)
-                changed = True
 
 
 def snf(matrix) -> SNFResult:

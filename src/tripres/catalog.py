@@ -13,14 +13,7 @@ from functools import lru_cache
 
 from .abelian import AbelianGroup, abelianization
 from .plane import build_plane
-from .presentations import (
-    InvariantClass,
-    enumerate_all_invariant,
-    group_presentation,
-    is_multiplier_fixed,
-    presentation_from_sigma,
-    twist_multiplier,
-)
+from .presentations import enumerate_all_invariant, group_presentation, twist_multiplier
 
 
 def key_digest(canonical_key) -> str:
@@ -43,23 +36,12 @@ class TwistOrbit:
         return tuple(sorted(g.sort_key() for g in (self.base, self.twist_q, self.twist_q2)))
 
 
-def _fixed_representative(cls: InvariantClass, plane):
-    """A member fixed by j -> q*j (invariant presentations always have one)."""
-    if is_multiplier_fixed(cls.representative):
-        return cls.representative
-    for b, sigma in cls.members:
-        cand = presentation_from_sigma(plane, b, sigma)
-        if is_multiplier_fixed(cand):
-            return cand
-    raise ValueError(f"class {cls.index} has no multiplier-fixed member")
-
-
 @lru_cache(maxsize=None)
 def invariant_catalog(q: int) -> tuple[TwistOrbit, ...]:
     plane = build_plane(q)
     orbits = []
     for cls in enumerate_all_invariant(plane):
-        rep = _fixed_representative(cls, plane)
+        rep = cls.representative
         base = abelianization(group_presentation(rep))
         g1 = abelianization(group_presentation(twist_multiplier(rep, 1)))
         g2 = abelianization(group_presentation(twist_multiplier(rep, 2)))

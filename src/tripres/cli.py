@@ -47,12 +47,16 @@ def _load_labels(path: str | None) -> dict[str, str]:
     if not path:
         return {}
     labels = {}
-    for raw in Path(path).read_text().splitlines():
+    for number, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        digest, _, name = line.partition(" ")
-        labels[digest] = name.strip()
+        digest, *name = line.split(None, 1)
+        if not name:
+            raise ValueError(f"{path} line {number}: no name after the digest {digest}")
+        if digest in labels:
+            raise ValueError(f"{path} line {number}: digest {digest} is named twice")
+        labels[digest] = name[0]
     return labels
 
 
@@ -95,8 +99,10 @@ def cmd_plane(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    if not args.all_shifts and (args.out_dir is not None or args.labels is not None):
+        raise ValueError("--out-dir and --labels need --all")
     labels = _load_labels(args.labels)
-    if args.all_shifts and args.out_dir:
+    if args.out_dir:
         Path(args.out_dir).mkdir(parents=True, exist_ok=True)
     plane = build_plane(args.q)
     print(_header(args.q))

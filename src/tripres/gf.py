@@ -129,28 +129,42 @@ class FieldElement:
         return any(self.coeffs)
 
     def __add__(self, other: "FieldElement") -> "FieldElement":
-        return self.ctx.add(self, other)
+        p = self.ctx.p
+        return FieldElement(self.ctx, tuple((x + y) % p for x, y in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "FieldElement") -> "FieldElement":
-        return self.ctx.add(self, self.ctx.neg(other))
+        p = self.ctx.p
+        return FieldElement(self.ctx, tuple((x - y) % p for x, y in zip(self.coeffs, other.coeffs)))
 
     def __neg__(self) -> "FieldElement":
-        return self.ctx.neg(self)
+        p = self.ctx.p
+        return FieldElement(self.ctx, tuple(-x % p for x in self.coeffs))
 
     def __mul__(self, other: "FieldElement") -> "FieldElement":
-        return self.ctx.mul(self, other)
+        if not self or not other:
+            return self.ctx.zero
+        return self.ctx.from_log(self.log() + other.log())
 
     def __pow__(self, n: int) -> "FieldElement":
-        return self.ctx.pow(self, n)
+        if not self:
+            if n < 0:
+                raise ZeroDivisionError("inverse of zero")
+            return self.ctx.one if n == 0 else self.ctx.zero
+        return self.ctx.from_log(self.log() * n)
 
     def inverse(self) -> "FieldElement":
-        return self.ctx.pow(self, -1)
+        return self ** -1
 
     def trace(self) -> "FieldElement":
-        return self.ctx.trace_to_subfield(self)
+        """Tr(a) = a + a^q + a^(q^2), a GF(q)-linear map onto GF(q)."""
+        q = self.ctx.q
+        return self + self ** q + self ** (q * q)
 
     def log(self) -> int:
-        return self.ctx.discrete_log(self)
+        """k in 0..order-1 with x^k = self."""
+        if not self:
+            raise ValueError("discrete logarithm of zero is undefined")
+        return self.ctx._log[self.coeffs]
 
     def __repr__(self) -> str:
         return f"FieldElement({poly_str(self.coeffs)})"
@@ -191,39 +205,6 @@ class FieldContext:
     def from_log(self, k: int) -> FieldElement:
         """g^k for the primitive generator g = x."""
         return FieldElement(self, self._exp[k % self.order])
-
-    # -- arithmetic ---------------------------------------------------------
-
-    def add(self, a: FieldElement, b: FieldElement) -> FieldElement:
-        p = self.p
-        return FieldElement(self, tuple((x + y) % p for x, y in zip(a.coeffs, b.coeffs)))
-
-    def neg(self, a: FieldElement) -> FieldElement:
-        p = self.p
-        return FieldElement(self, tuple((-x) % p for x in a.coeffs))
-
-    def mul(self, a: FieldElement, b: FieldElement) -> FieldElement:
-        if not a or not b:
-            return self.zero
-        k = (self._log[a.coeffs] + self._log[b.coeffs]) % self.order
-        return FieldElement(self, self._exp[k])
-
-    def pow(self, a: FieldElement, n: int) -> FieldElement:
-        if not a:
-            if n < 0:
-                raise ZeroDivisionError("inverse of zero")
-            return self.one if n == 0 else self.zero
-        k = (self._log[a.coeffs] * n) % self.order
-        return FieldElement(self, self._exp[k])
-
-    def trace_to_subfield(self, a: FieldElement) -> FieldElement:
-        """Tr(a) = a + a^q + a^(q^2), a GF(q)-linear map onto GF(q)."""
-        return self.add(self.add(a, self.pow(a, self.q)), self.pow(a, self.q * self.q))
-
-    def discrete_log(self, a: FieldElement) -> int:
-        if not a:
-            raise ValueError("discrete logarithm of zero is undefined")
-        return self._log[a.coeffs]
 
     def subfield(self) -> tuple[FieldElement, ...]:
         """The q elements fixed by a -> a^q."""

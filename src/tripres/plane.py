@@ -58,7 +58,7 @@ def build_plane(q: int) -> SingerPlane:
     field = build_field(q)
     n = q * q + q + 1
     zero = field.zero
-    dset = tuple(j for j in range(n) if field.trace_to_subfield(field.from_log(j)) == zero)
+    dset = tuple(j for j in range(n) if field.from_log(j).trace() == zero)
     return SingerPlane(q=q, n_points=n, difference_set=dset)
 
 

@@ -92,6 +92,20 @@ def test_snf_worked_example():
     assert res.divisors == (2, 4)
 
 
+@pytest.mark.parametrize(
+    "m, divisors",
+    [
+        ([[2, 0], [0, 3]], (1, 6)),
+        ([[4, 0, 0], [0, 6, 0], [0, 0, 10]], (2, 2, 60)),
+    ],
+)
+def test_snf_builds_divisor_chain_at_the_pivot(m, divisors):
+    # the pivot's row and column are clear, but it does not divide a later entry
+    assert minors_gcd_divisors(m) == divisors
+    assert check_snf(m).divisors == divisors
+    assert invariant_factors(m) == divisors
+
+
 def test_snf_matches_minors_oracle_small_random():
     rng = random.Random(20260811)
     for _ in range(400):
@@ -294,7 +308,6 @@ def _assert_matches_sympy(gp):
 
 
 def test_abelianization_matches_sympy_on_small_catalogs():
-    from tripres.catalog import _fixed_representative
     from tripres.plane import build_plane
     from tripres.presentations import enumerate_all_invariant, group_presentation, twist_multiplier
 
@@ -302,7 +315,7 @@ def test_abelianization_matches_sympy_on_small_catalogs():
     for q in (2, 3, 4, 5):
         plane = build_plane(q)
         for cls in enumerate_all_invariant(plane):
-            rep = _fixed_representative(cls, plane)
+            rep = cls.representative
             for k in range(3):
                 _assert_matches_sympy(group_presentation(twist_multiplier(rep, k) if k else rep))
                 checked += 1
@@ -372,7 +385,6 @@ def test_dense_core_keeps_few_rows(monkeypatch):
     # every q=7..9 catalog group is finite, so each abelianization ends in one
     # invariant_factors call; only rows that enlarge the lattice reach it
     import tripres.abelian as abelian
-    from tripres.catalog import _fixed_representative
     from tripres.plane import build_plane
     from tripres.presentations import enumerate_all_invariant, group_presentation, twist_multiplier
 
@@ -387,7 +399,7 @@ def test_dense_core_keeps_few_rows(monkeypatch):
     for q in (7, 8, 9):
         plane = build_plane(q)
         for cls in enumerate_all_invariant(plane):
-            rep = _fixed_representative(cls, plane)
+            rep = cls.representative
             for k in range(3):
                 sizes.clear()
                 abelian.abelianization(group_presentation(twist_multiplier(rep, k) if k else rep))

@@ -327,6 +327,37 @@ def test_enumerate_reads_labels_before_printing(capsys, tmp_path):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", [("enumerate", "--q", "2", "--all"), ("verify", "--q", "2")])
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("{0}\n", "line 1: no name after the digest {0}"),
+        ("# names\n{0} A.1\n{1} A.1'\n\n{0} B.1\n", "line 5: digest {0} is named twice"),
+    ],
+    ids=["no-name", "repeated-digest"],
+)
+def test_bad_labels_line_is_rejected_before_computing(capsys, tmp_path, command, text, message):
+    from tripres.catalog import invariant_catalog
+
+    digests = [o.key_digest for o in invariant_catalog(2)]
+    labels = tmp_path / "labels.txt"
+    labels.write_text(text.format(*digests))
+    code, out, err = run(capsys, *command, "--labels", str(labels))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {labels} {message.format(*digests)}\n"
+
+
+@pytest.mark.parametrize("option", ["--out-dir", "--labels"])
+def test_enumerate_single_shift_rejects_all_only_options(capsys, tmp_path, option):
+    target = tmp_path / "d"
+    code, out, err = run(capsys, "enumerate", "--q", "2", "--b", "0", option, str(target))
+    assert code == 2
+    assert out == ""
+    assert err == "error: --out-dir and --labels need --all\n"
+    assert not target.exists()
+
+
 def test_enumerate_out_dir_is_made_before_printing(capsys, tmp_path):
     taken = tmp_path / "taken"
     taken.write_text("")

@@ -143,7 +143,7 @@ def test_trace_additive_and_linear():
         sub = f.subfield()
         elems = [f.from_log(k) for k in range(0, f.order, max(1, f.order // 23))]
         for a in elems:
-            assert f.pow(a.trace(), f.q) == a.trace()
+            assert a.trace() ** f.q == a.trace()
             for b in elems[:7]:
                 assert (a + b).trace() == a.trace() + b.trace()
             for lam in sub:
@@ -154,7 +154,7 @@ def test_frobenius_fixes_exactly_subfield():
     for q in (2, 3, 4, 5, 9):
         f = build_field(q)
         elems = [f.zero] + [f.from_log(k) for k in range(f.order)]
-        fixed = [a for a in elems if f.pow(a, f.q) == a]
+        fixed = [a for a in elems if a ** f.q == a]
         assert len(fixed) == q
         assert set(a.coeffs for a in fixed) == set(a.coeffs for a in f.subfield())
 
@@ -172,18 +172,18 @@ def test_trace_surjective_with_even_fibers():
 
 def test_discrete_log():
     f = build_field(2)
-    assert f.discrete_log(f.one) == 0
-    assert f.discrete_log(f.generator) == 1
-    assert f.discrete_log(f.element((1, 1, 0))) == 3  # g^3 = g + 1
+    assert f.one.log() == 0
+    assert f.generator.log() == 1
+    assert f.element((1, 1, 0)).log() == 3  # g^3 = g + 1
     with pytest.raises(ValueError):
-        f.discrete_log(f.zero)
+        f.zero.log()
 
 
 def test_discrete_log_inverts_exp():
     for q in (2, 3, 4, 11):
         f = build_field(q)
         for k in range(0, f.order, max(1, f.order // 151)):
-            assert f.discrete_log(f.from_log(k)) == k
+            assert f.from_log(k).log() == k
 
 
 def _poly_mul(a, b, p):
