@@ -64,6 +64,30 @@ def test_parse_errors_carry_position():
         assert err.value.position >= 0
 
 
+@pytest.mark.parametrize(
+    "text, message, position",
+    [
+        ("2 (3)2]", "expected '['", 2),
+        ("[(]", "expected an integer", 2),
+        ("[(3 2]", "expected ')'", 3),
+        ("[(0)2]", "repetition count must be positive", 4),
+        ("[(2) 3]", "expected an integer", 4),
+        ("[( 2)3]", "expected an integer", 2),
+        ("[1]", "torsion order 1 < 2", 2),
+        ("[2;3]", "expected ',' or ']'", 2),
+        ("[2", "expected ',' or ']'", 2),
+        ("[2,]", "expected an integer", 3),
+        ("[2] x", "trailing text", 4),
+        ("1\u2074 [2]", "expected '['", 1),
+    ],
+)
+def test_parse_error_message_and_position(text, message, position):
+    with pytest.raises(CellParseError) as err:
+        parse_group_cell(text)
+    assert str(err.value) == f"{message} in {text!r} (at position {position})"
+    assert err.value.position == position
+
+
 def test_long_repetition_parses_in_linear_time():
     # popping each exponent from the front of a list made the divisor chain quadratic
     import time
