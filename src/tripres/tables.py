@@ -40,66 +40,51 @@ class CellParseError(ValueError):
         self.position = position
 
 
+#: the optional free rank and the opening bracket
+_PREFIX = re.compile(r"\s*(?P<rank>[0-9]+)?\s*(?P<open>\[)?")
+_EMPTY = re.compile(r"\s*\]\s*")
+#: one item `(count)value` or `value` and the ',' or ']' after it; digits are
+#: ASCII only, since str.isdigit also accepts digits such as '²' that int() rejects
+_ITEM = re.compile(
+    r"\s*(?P<paren>\((?P<count>[0-9]*)(?P<close>\))?)?(?P<value>[0-9]*)\s*(?P<sep>[,\]])?\s*"
+)
+
+
 def parse_group_cell(text: str) -> tuple[int | None, AbelianGroup]:
     """Parse `m [a,(j)b,...]` into (optional free rank, torsion group)."""
-    s = text
-    i = 0
 
-    def skip_ws(i: int) -> int:
-        while i < len(s) and s[i].isspace():
-            i += 1
-        return i
+    def error(message: str, position: int) -> CellParseError:
+        return CellParseError(f"{message} in {text!r}", position)
 
-    def at_digit(i: int) -> bool:
-        # ASCII only: str.isdigit also accepts digits such as '²' that int() rejects
-        return i < len(s) and "0" <= s[i] <= "9"
-
-    def read_int(i: int) -> tuple[int, int]:
-        j = i
-        while at_digit(j):
-            j += 1
-        if j == i:
-            raise CellParseError(f"expected an integer in {s!r}", i)
-        return int(s[i:j]), j
-
-    i = skip_ws(i)
-    rank: int | None = None
-    if at_digit(i):
-        rank, i = read_int(i)
-        i = skip_ws(i)
-    if i >= len(s) or s[i] != "[":
-        raise CellParseError(f"expected '[' in {s!r}", i)
-    i += 1
+    m = _PREFIX.match(text)
+    if not m["open"]:
+        raise error("expected '['", m.end())
+    rank = None if m["rank"] is None else int(m["rank"])
     primaries: list[int] = []
-    i = skip_ws(i)
-    if i < len(s) and s[i] == "]":
-        i += 1
-    else:
-        while True:
-            i = skip_ws(i)
-            count = 1
-            if i < len(s) and s[i] == "(":
-                count, i = read_int(i + 1)
-                if i >= len(s) or s[i] != ")":
-                    raise CellParseError(f"expected ')' in {s!r}", i)
-                i += 1
-                if count < 1:
-                    raise CellParseError(f"repetition count must be positive in {s!r}", i)
-            value, i = read_int(i)
-            if value < 2:
-                raise CellParseError(f"torsion order {value} < 2 in {s!r}", i)
-            primaries.extend([value] * count)
-            i = skip_ws(i)
-            if i < len(s) and s[i] == ",":
-                i += 1
-                continue
-            if i < len(s) and s[i] == "]":
-                i += 1
-                break
-            raise CellParseError(f"expected ',' or ']' in {s!r}", i)
-    i = skip_ws(i)
-    if i != len(s):
-        raise CellParseError(f"trailing text in {s!r}", i)
+    empty = _EMPTY.match(text, m.end())
+    pos, sep = (empty.end(), "]") if empty else (m.end(), ",")
+    while sep == ",":
+        m = _ITEM.match(text, pos)
+        count = 1
+        if m["paren"]:
+            if not m["count"]:
+                raise error("expected an integer", m.start("count"))
+            if not m["close"]:
+                raise error("expected ')'", m.end("count"))
+            count = int(m["count"])
+            if count < 1:
+                raise error("repetition count must be positive", m.end("close"))
+        if not m["value"]:
+            raise error("expected an integer", m.start("value"))
+        value = int(m["value"])
+        if value < 2:
+            raise error(f"torsion order {value} < 2", m.end("value"))
+        if not m["sep"]:
+            raise error("expected ',' or ']'", m.end())
+        primaries.extend([value] * count)
+        pos, sep = m.end(), m["sep"]
+    if pos != len(text):
+        raise error("trailing text", pos)
     flat = [p ** e for v in primaries for p, e in factorize(v).items()]
     return rank, AbelianGroup.from_primary(flat)
 
