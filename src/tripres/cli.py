@@ -105,11 +105,12 @@ def cmd_enumerate(args) -> int:
     if args.out_dir:
         Path(args.out_dir).mkdir(parents=True, exist_ok=True)
     plane = build_plane(args.q)
+    if not args.all_shifts and not 0 <= args.b < plane.n_points:
+        raise ValueError(f"--b {args.b} is not in 0..{plane.n_points - 1}")
     print(_header(args.q))
     if not args.all_shifts:
-        shifts = [args.b % plane.n_points]
-        ps = enumerate_invariant(plane, shifts[0])
-        print(f"q={args.q} N={plane.n_points} b={shifts[0]} presentations={len(ps)}")
+        ps = enumerate_invariant(plane, args.b)
+        print(f"q={args.q} N={plane.n_points} b={args.b} presentations={len(ps)}")
         for i, p in enumerate(ps):
             print(f"presentation {i}:")
             sys.stdout.write(presentation_to_text(p))

@@ -458,18 +458,13 @@ def enumerate_all_invariant(plane: SingerPlane) -> list[InvariantClass]:
     """All invariant presentations over every shift b, up to affine relabeling."""
     n, q = plane.n_points, plane.q
     groups: dict = {}
-    order: list = []
     for b in range(n):
         for sigma in enumerate_sigma_cycles(n, admissible_differences(plane, b)):
-            key = _orbit_key(q, n, b, sigma)
-            if key not in groups:
-                groups[key] = []
-                order.append(key)
-            groups[key].append((b, sigma))
+            groups.setdefault(_orbit_key(q, n, b, sigma), []).append((b, sigma))
 
-    index_of = {key: i for i, key in enumerate(order)}
+    index_of = {key: i for i, key in enumerate(groups)}
     classes = []
-    for i, key in enumerate(order):
+    for i, key in enumerate(groups):
         members = tuple(groups[key])
         b0, sigma0 = members[0]
         rep = presentation_from_sigma(plane, b0, sigma0)
@@ -592,6 +587,8 @@ def presentation_from_text(text: str) -> TrianglePresentation:
         if not 0 <= header[key] < n:
             raise PresentationFormatError(f"header {key}={header[key]} is not in 0..{n - 1}")
     scale = header.get("scale", 1)
+    if not 1 <= scale < n:
+        raise PresentationFormatError(f"header scale={scale} is not in 1..{n - 1}")
     if gcd(scale, n) != 1:
         raise PresentationFormatError(f"header scale={scale} is not coprime to N={n}")
     triples = set()
@@ -602,6 +599,6 @@ def presentation_from_text(text: str) -> TrianglePresentation:
     return TrianglePresentation(
         q=q,
         n=n,
-        corr=Correspondence(header["a"], header["b"], scale % n),
+        corr=Correspondence(header["a"], header["b"], scale),
         triples=frozenset(triples),
     )

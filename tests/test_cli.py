@@ -147,8 +147,9 @@ def test_header_n_mismatch_is_a_format_error(capsys, tmp_path, n):
         ("q=2\nN=7\na=15\nb=0", "a=15"),
         ("q=2\nN=7\na=1\nb=-3", "b=-3"),
         ("q=2\nN=7\na=1\nb=0\nscale=0", "scale=0"),
+        ("q=2\nN=7\na=1\nb=0\nscale=8", "scale=8"),
     ],
-    ids=["q", "N", "a", "b", "scale"],
+    ids=["q", "N", "a", "b", "scale", "scale_past_N"],
 )
 def test_malformed_header_field(capsys, tmp_path, header, field):
     bad = tmp_path / "bad.tp"
@@ -356,6 +357,14 @@ def test_enumerate_single_shift_rejects_all_only_options(capsys, tmp_path, optio
     assert out == ""
     assert err == "error: --out-dir and --labels need --all\n"
     assert not target.exists()
+
+
+@pytest.mark.parametrize("b", ["7", "-7"])
+def test_enumerate_shift_out_of_range(capsys, b):
+    code, out, err = run(capsys, "enumerate", "--q", "2", "--b", b)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --b {b} is not in 0..6\n"
 
 
 def test_enumerate_out_dir_is_made_before_printing(capsys, tmp_path):
