@@ -40,11 +40,10 @@ class CellParseError(ValueError):
         self.position = position
 
 
-#: the optional free rank and the opening bracket
 _PREFIX = re.compile(r"\s*(?P<rank>[0-9]+)?\s*(?P<open>\[)?")
 _EMPTY = re.compile(r"\s*\]\s*")
 #: one item `(count)value` or `value` and the ',' or ']' after it; digits are
-#: ASCII only, since str.isdigit also accepts digits such as '²' that int() rejects
+#: ASCII only, since \d also matches digits such as '٣' that int() reads as 3
 _ITEM = re.compile(
     r"\s*(?P<paren>\((?P<count>[0-9]*)(?P<close>\))?)?(?P<value>[0-9]*)\s*(?P<sep>[,\]])?\s*"
 )
