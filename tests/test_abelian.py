@@ -126,6 +126,37 @@ def test_invariant_factors_agree_with_snf():
         assert invariant_factors(m) == snf(m).divisors
 
 
+def _sympy_divisors(m):
+    """Independent oracle: sympy's nonzero invariant factors of m.
+
+    sympy is a declared test dependency; a missing sympy fails here.
+    """
+    from sympy import ZZ, Matrix
+    from sympy.matrices.normalforms import invariant_factors as sympy_factors
+
+    return tuple(abs(int(d)) for d in sympy_factors(Matrix(m), domain=ZZ) if d)
+
+
+def test_snf_matches_sympy_on_large_entries():
+    # catalog cores reach 31-bit entries and K0 cores more; these reach 64 bits
+    rng = random.Random(20261019)
+    for _ in range(300):
+        rows = rng.randint(1, 5)
+        cols = rng.randint(1, 5)
+        m = [[rng.randint(-(2**64), 2**64) for _ in range(cols)] for _ in range(rows)]
+        assert check_snf(m).divisors == invariant_factors(m) == _sympy_divisors(m), m
+
+
+def test_snf_matches_sympy_on_fibonacci_matrices():
+    # consecutive Fibonacci numbers take the most division steps to reduce
+    f = [0, 1]
+    while len(f) < 95:
+        f.append(f[-1] + f[-2])
+    for k in range(93):
+        m = [[f[k], f[k + 1]], [f[k + 1], f[k + 2]]]
+        assert check_snf(m).divisors == invariant_factors(m) == _sympy_divisors(m), m
+
+
 def test_snf_deterministic():
     m = [[6, 10, 15], [10, 15, 6], [15, 6, 10]]
     assert snf(m) == snf(m)
@@ -287,16 +318,10 @@ def test_catalog_groups_pinned():
 
 
 def _sympy_group(gp):
-    """Independent oracle: sympy's invariant factors of the relation matrix.
-
-    sympy is a declared test dependency; a missing sympy fails here.
-    """
-    from sympy import ZZ, Matrix
-    from sympy.matrices.normalforms import invariant_factors as sympy_factors
-
+    """Independent oracle: sympy's invariant factors of the relation matrix."""
     from tripres.abelian import relation_matrix
 
-    factors = [int(d) for d in sympy_factors(Matrix(relation_matrix(gp)), domain=ZZ) if d]
+    factors = _sympy_divisors(relation_matrix(gp))
     return AbelianGroup.from_invariant_factors(factors, rank=gp.num_generators - len(factors))
 
 
