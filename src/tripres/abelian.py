@@ -3,15 +3,24 @@
 Smith normal form is computed over Python ints (intermediate entries can
 exceed machine range even for small inputs) by one elimination core with a
 deterministic pivot rule: the nonzero entry of minimal absolute value, ties
-broken by smallest row then column.  Once the pivot's row and column are
-clear, a later row holding an entry the pivot does not divide is added to
-the pivot row and cleared again, which lowers the pivot to a gcd (Cohen, A
-Course in Computational Algebraic Number Theory, 2.4); then the pivot row
-is negated if need be, so the diagonal is a nonnegative divisor chain as
-it is built.  `invariant_factors` runs the core on the bare matrix; `snf`
-runs it on the matrix augmented by identity blocks, [M | I] over [I | 0],
-so the same row and column moves build the unimodular U and V with
-U*M*V = D.
+broken by smallest row then column.  Its one reduction rule is division
+with remainder: the pivot p is made positive, and every entry below and
+right of it is reduced by the nearest-integer quotient, leaving |r| <= p/2.
+A nonzero remainder is a smaller entry, so the pivot search runs again at
+the same step; the trailing block's minimum strictly falls, and the loop
+ends.  Once the pivot's row and column are clear, a later row holding an
+entry the pivot does not divide is added to the pivot row and reduced
+again, which lowers the pivot to a gcd (Cohen, A Course in Computational
+Algebraic Number Theory, 2.4), so the diagonal is a nonnegative divisor
+chain as it is built.  `invariant_factors` runs the core on the bare
+matrix; `snf` runs it on the matrix augmented by identity blocks, [M | I]
+over [I | 0], so the same row and column moves build the unimodular U and
+V with U*M*V = D.
+
+`AbelianGroup` holds its torsion as that divisor chain, which is unique,
+so groups compare and sort by (rank, divisors); `from_primary` builds the
+chain with gcd and lcm alone, and prime powers are found only to print a
+group.
 
 `abelianization` solves generators on +-1 coefficients by lazy Tietze
 substitution: each generator is written once in terms of a few free seed
@@ -24,25 +33,12 @@ columns wide, go to `invariant_factors`.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from math import gcd, lcm
 
 from .gf import factorize
-
-
-def xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """(x, y, g) with x*a + y*b == g == gcd(a, b), g >= 0."""
-    x, nx = 1, 0
-    y, ny = 0, 1
-    g, ng = a, b
-    while ng:
-        qt = g // ng
-        x, nx = nx, x - qt * nx
-        y, ny = ny, y - qt * ny
-        g, ng = ng, g - qt * ng
-    if g < 0:
-        x, y, g = -x, -y, -g
-    return x, y, g
 
 
 # ---------------------------------------------------------------------------
@@ -87,19 +83,6 @@ def _find_pivot(a: list[list[int]], t: int, m: int, n: int):
     return best
 
 
-def _combine_rows(a, i1, i2, c11, c12, c21, c22) -> None:
-    r1, r2 = a[i1], a[i2]
-    a[i1] = [c11 * x + c12 * y for x, y in zip(r1, r2)]
-    a[i2] = [c21 * x + c22 * y for x, y in zip(r1, r2)]
-
-
-def _combine_cols(a, j1, j2, c11, c12, c21, c22) -> None:
-    for row in a:
-        x, y = row[j1], row[j2]
-        row[j1] = c11 * x + c12 * y
-        row[j2] = c21 * x + c22 * y
-
-
 def _smith(a: list[list[int]], m: int, n: int) -> None:
     """Bring the leading m x n block of the rows `a` to Smith form in place.
 
@@ -114,44 +97,27 @@ def _smith(a: list[list[int]], m: int, n: int) -> None:
         if pj != t:
             for row in a:
                 row[t], row[pj] = row[pj], row[t]
-        while True:
-            # clear column t below the pivot
-            for i in range(t + 1, m):
-                r = a[i][t]
-                if r:
-                    p = a[t][t]
-                    if r % p == 0:
-                        qt = r // p
-                        a[i] = [x - qt * y for x, y in zip(a[i], a[t])]
-                    else:
-                        x, y, g = xgcd(p, r)
-                        _combine_rows(a, t, i, x, y, -(r // g), p // g)
-            # clear row t right of the pivot
-            dirty = False
-            for j in range(t + 1, n):
-                r = a[t][j]
-                if r:
-                    p = a[t][t]
-                    if r % p == 0:
-                        qt = r // p
-                        for row in a:
-                            row[j] -= qt * row[t]
-                    else:
-                        x, y, g = xgcd(p, r)
-                        _combine_cols(a, t, j, x, y, -(r // g), p // g)
-                        dirty = True
-            if dirty or any(a[i][t] for i in range(t + 1, m)):
-                continue
-            # divisor chain: add a row holding an entry the pivot does not
-            # divide; clearing it again lowers the pivot to a gcd
-            p = a[t][t]
-            i = next((i for i in range(t + 1, m) if any(x % p for x in a[i][t + 1:n])), None)
-            if i is None:
-                break
-            a[t] = [x + y for x, y in zip(a[t], a[i])]
         if a[t][t] < 0:
             a[t] = [-x for x in a[t]]
-        t += 1
+        p = a[t][t]
+        # nearest-integer quotients leave remainders with |r| <= p/2 < p
+        for i in range(t + 1, m):
+            if qt := (a[i][t] + p // 2) // p:
+                a[i] = [x - qt * y for x, y in zip(a[i], a[t])]
+        for j in range(t + 1, n):
+            if qt := (a[t][j] + p // 2) // p:
+                for row in a:
+                    row[j] -= qt * row[t]
+        # a nonzero remainder is a smaller pivot; search again at this t
+        if any(a[i][t] for i in range(t + 1, m)) or any(a[t][t + 1:n]):
+            continue
+        # divisor chain: add a row holding an entry the pivot does not
+        # divide; reducing it again lowers the pivot to a gcd
+        i = next((i for i in range(t + 1, m) if any(x % p for x in a[i][t + 1:n])), None)
+        if i is None:
+            t += 1
+        else:
+            a[t] = [x + y for x, y in zip(a[t], a[i])]
 
 
 def snf(matrix) -> SNFResult:
@@ -207,12 +173,12 @@ def determinant(matrix) -> int:
 # Finitely generated abelian groups
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class AbelianGroup:
     """Z^rank plus a torsion divisor chain d1 | d2 | ..., each di >= 2.
 
-    Comparison is always through the primary decomposition, so e.g.
-    Z_2 + Z_24 and Z_2 + Z_8 + Z_3 are the same group.
+    The chain is unique, so groups compare and sort by (rank, divisors):
+    e.g. Z_2 + Z_24 and Z_2 + Z_8 + Z_3 are the same group, (0, (2, 24)).
     """
 
     rank: int
@@ -233,27 +199,25 @@ class AbelianGroup:
         return cls(rank=rank, divisors=tuple(d for d in factors if d > 1))
 
     @classmethod
-    def from_primary(cls, primaries, rank: int = 0) -> "AbelianGroup":
-        """Build the divisor chain from a multiset of prime powers."""
-        by_prime: dict[int, list[int]] = {}
-        for pk in primaries:
-            fac = factorize(pk)
-            if len(fac) != 1:
-                raise ValueError(f"{pk} is not a prime power")
-            (p, e), = fac.items()
-            by_prime.setdefault(p, []).append(e)
-        # the k-th largest divisor takes the k-th largest exponent of each prime
-        chain = [1] * max(map(len, by_prime.values()), default=0)
-        for p, exps in by_prime.items():
-            exps.sort(reverse=True)
-            for k, e in enumerate(exps):
-                chain[k] *= p ** e
-        chain.reverse()
-        return cls(rank=rank, divisors=tuple(chain))
+    def from_primary(cls, orders, rank: int = 0) -> "AbelianGroup":
+        """Build the divisor chain of a sum of cyclic groups Z/n, each n >= 2.
+
+        `top` is the chain, largest first.  Adding c copies of Z/n sets
+        top[j] to lcm(top[j], gcd(n, top[j - c])), read as n for j < c: for
+        each prime this inserts c copies of n's exponent into the sorted
+        list of exponents, so no order is ever factorized.
+        """
+        top: list[int] = []
+        for n, c in Counter(orders).items():
+            if n < 2:
+                raise ValueError(f"cyclic order {n} < 2")
+            top += [1] * c
+            top = [lcm(s, gcd(n, top[j - c]) if j >= c else n) for j, s in enumerate(top)]
+        return cls.from_invariant_factors(reversed(top), rank)
 
     @cached_property
     def primary_factors(self) -> tuple[int, ...]:
-        """Prime powers sorted by (prime, exponent); the canonical form."""
+        """Prime powers sorted by (prime, exponent), as a group is printed."""
         parts = []
         for d in self.divisors:
             for p, e in factorize(d).items():
@@ -273,9 +237,6 @@ class AbelianGroup:
             n *= d
         return n
 
-    def sort_key(self) -> tuple:
-        return (self.rank, self.primary_factors)
-
     def __str__(self) -> str:
         """Bracket notation on the torsion part, e.g. ``[(3)2,3]``."""
         items = []
@@ -292,19 +253,22 @@ class AbelianGroup:
 
 
 def iso_equal(g: AbelianGroup, h: AbelianGroup) -> bool:
-    return g.rank == h.rank and g.primary_factors == h.primary_factors
+    return g == h
 
 
 def away_from(g: AbelianGroup, p: int) -> AbelianGroup:
     """Remove the p-power factors (free part dropped)."""
-    return AbelianGroup.from_primary(
-        [pk for pk in g.primary_factors if pk % p != 0], rank=0
-    )
+    out = []
+    for d in g.divisors:
+        while d % p == 0:
+            d //= p
+        out.append(d)
+    return AbelianGroup.from_invariant_factors(out)
 
 
 def direct_double(g: AbelianGroup) -> AbelianGroup:
-    """g + g, renormalized to a divisor chain."""
-    return AbelianGroup.from_primary(g.primary_factors * 2, rank=2 * g.rank)
+    """g + g: each divisor of the chain, twice, is still a chain."""
+    return AbelianGroup(rank=2 * g.rank, divisors=tuple(sorted(g.divisors * 2)))
 
 
 # ---------------------------------------------------------------------------

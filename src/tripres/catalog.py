@@ -33,7 +33,7 @@ class TwistOrbit:
     key_digest: str
 
     def signature(self) -> tuple:
-        return tuple(sorted(g.sort_key() for g in (self.base, self.twist_q, self.twist_q2)))
+        return tuple(sorted((self.base, self.twist_q, self.twist_q2)))
 
 
 @lru_cache(maxsize=None)

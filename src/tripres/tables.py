@@ -16,7 +16,6 @@ from typing import Mapping, Sequence
 
 from .abelian import AbelianGroup, away_from, direct_double, iso_equal
 from .catalog import TwistOrbit
-from .gf import factorize
 from .presentations import read_int
 
 EXPECTED_ROW_COUNTS = {2: 9, 3: 90, 4: 6, 5: 7, 7: 19, 8: 6, 9: 9, 11: 24}
@@ -59,7 +58,7 @@ def parse_group_cell(text: str) -> tuple[int | None, AbelianGroup]:
     if not m["open"]:
         raise error("expected '['", m.end())
     rank = None if m["rank"] is None else int(m["rank"])
-    primaries: list[int] = []
+    orders: list[int] = []
     empty = _EMPTY.match(text, m.end())
     pos, sep = (empty.end(), "]") if empty else (m.end(), ",")
     while sep == ",":
@@ -80,12 +79,11 @@ def parse_group_cell(text: str) -> tuple[int | None, AbelianGroup]:
             raise error(f"torsion order {value} < 2", m.end("value"))
         if not m["sep"]:
             raise error("expected ',' or ']'", m.end())
-        primaries.extend([value] * count)
+        orders.extend([value] * count)
         pos, sep = m.end(), m["sep"]
     if pos != len(text):
         raise error("trailing text", pos)
-    flat = [p ** e for v in primaries for p, e in factorize(v).items()]
-    return rank, AbelianGroup.from_primary(flat)
+    return rank, AbelianGroup.from_primary(orders)
 
 
 def format_group_cell(rank: int | None, group: AbelianGroup) -> str:
@@ -170,7 +168,7 @@ def load_dataset(path=None) -> Dataset:
         try:
             g_rank, gamma = parse_group_cell(gamma_s)
             k0, k0_mod_id = GroupCell.parse(k0_s), GroupCell.parse(k0m_s)
-        except CellParseError as err:
+        except ValueError as err:  # a CellParseError, or int()'s digit limit
             raise ValueError(f"line {ln}: {err}") from None
         if g_rank not in (None, 0):
             raise ValueError(f"line {ln}: gamma_ab cell has a free part: {gamma_s!r}")
@@ -251,7 +249,6 @@ class Family:
 
     q: int
     name: str
-    row_names: tuple[str | None, str | None, str | None]
     cells: tuple[AbelianGroup | None, AbelianGroup | None, AbelianGroup | None]
 
     @property
@@ -259,7 +256,7 @@ class Family:
         return all(c is not None for c in self.cells)
 
     def signature(self) -> tuple:
-        return tuple(sorted(c.sort_key() for c in self.cells if c is not None))
+        return tuple(sorted(c for c in self.cells if c is not None))
 
 
 def published_families(ds: Dataset, q: int) -> list[Family]:
@@ -277,23 +274,17 @@ def published_families(ds: Dataset, q: int) -> list[Family]:
             cells = tuple(
                 rows[n].gamma_ab if n is not None else None for n in names
             )
-            out.append(Family(q=q, name=fam_name, row_names=names, cells=cells))
+            out.append(Family(q=q, name=fam_name, cells=cells))
         return out
     grouped: dict[str, dict[int, PaperRow]] = {}
-    order: list[str] = []
     for r in ds.by_q(q):
         if r.name == "Voskuil":
             continue
         stem, level = _split_name(r.name)
-        if stem not in grouped:
-            grouped[stem] = {}
-            order.append(stem)
-        grouped[stem][level] = r
-    for stem in order:
-        levels = grouped[stem]
-        names = tuple(levels[i].name if i in levels else None for i in range(3))
+        grouped.setdefault(stem, {})[level] = r
+    for stem, levels in grouped.items():
         cells = tuple(levels[i].gamma_ab if i in levels else None for i in range(3))
-        out.append(Family(q=q, name=stem, row_names=names, cells=cells))
+        out.append(Family(q=q, name=stem, cells=cells))
     return out
 
 

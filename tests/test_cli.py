@@ -202,8 +202,9 @@ def test_malformed_presentation_line(capsys, tmp_path, old, new, message):
         ("|[(3)2,3]|", "|((3)2,3]|", "line {ln}: expected '[' in '((3)2,3]' (at position 0)"),
         ("|[(2)3,9]|", "|[(\u00b2)3,9]|", "line {ln}: expected an integer in '[(\u00b2)3,9]' (at position 2)"),
         ("|14 [2,(2)3]|", "|1\u2074 [2,(2)3]|", "line {ln}: expected '[' in '1\u2074 [2,(2)3]' (at position 1)"),
+        ("|4 [3]|4 [3]", "|4 [" + "7" * 5000 + "]|4 [3]", "line {ln}: Exceeds the limit (4300 digits)"),
     ],
-    ids=["q", "underscore-q", "cell", "superscript-count", "superscript-rank"],
+    ids=["q", "underscore-q", "cell", "superscript-count", "superscript-rank", "digit-limit"],
 )
 def test_malformed_dataset_line_is_named(capsys, tmp_path, old, new, message):
     from tripres.tables import _bundled_text
@@ -217,6 +218,28 @@ def test_malformed_dataset_line_is_named(capsys, tmp_path, old, new, message):
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert message.format(ln=ln) in err
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code", [(("survey",), 1), (("verify", "--q", "2"), 0)], ids=["survey", "verify-q2"]
+)
+def test_large_prime_torsion_order_does_not_hang(tmp_path, argv, exit_code):
+    # a cell's torsion orders are never factorized, so a large prime is cheap
+    from tripres.tables import _bundled_text
+
+    prime = "1000000000000000003"
+    edited = tmp_path / "tables.txt"
+    edited.write_text(_bundled_text().replace("|4 [3]|4 [3]", f"|4 [{prime}]|4 [{prime}]", 1))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    res = subprocess.run(
+        [sys.executable, "-m", "tripres", *argv, "--data", str(edited)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=30,
+    )
+    assert res.returncode == exit_code, res.stderr
 
 
 def test_missing_file(capsys):
