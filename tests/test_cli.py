@@ -15,6 +15,19 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def run_module(*argv):
+    """`python -m tripres ARGV` in a fresh interpreter, with this tree's src first."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-m", "tripres", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=60,
+    )
+
+
 def test_plane_q2(capsys):
     code, out, _ = run(capsys, "plane", "--q", "2")
     assert code == 0
@@ -230,15 +243,7 @@ def test_large_prime_torsion_order_does_not_hang(tmp_path, argv, exit_code):
     prime = "1000000000000000003"
     edited = tmp_path / "tables.txt"
     edited.write_text(_bundled_text().replace("|4 [3]|4 [3]", f"|4 [{prime}]|4 [{prime}]", 1))
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    res = subprocess.run(
-        [sys.executable, "-m", "tripres", *argv, "--data", str(edited)],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=path),
-        timeout=30,
-    )
+    res = run_module(*argv, "--data", str(edited))
     assert res.returncode == exit_code, res.stderr
 
 
@@ -444,14 +449,6 @@ def test_broken_pipe_is_not_an_input_error(capsys, monkeypatch, tmp_path):
 
 
 def test_python_dash_m_runs_the_cli():
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    res = subprocess.run(
-        [sys.executable, "-m", "tripres", "plane", "--q", "2"],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=path),
-        timeout=60,
-    )
+    res = run_module("plane", "--q", "2")
     assert res.returncode == 0, res.stderr
     assert "D(q=2,N=7) = 1 2 4" in res.stdout
