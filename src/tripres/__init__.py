@@ -15,7 +15,6 @@ from .abelian import (
     away_from,
     direct_double,
     invariant_factors,
-    iso_equal,
     relation_matrix,
     snf,
 )

@@ -199,7 +199,7 @@ class AbelianGroup:
         return cls(rank=rank, divisors=tuple(d for d in factors if d > 1))
 
     @classmethod
-    def from_primary(cls, orders, rank: int = 0) -> "AbelianGroup":
+    def from_primary(cls, orders) -> "AbelianGroup":
         """Build the divisor chain of a sum of cyclic groups Z/n, each n >= 2.
 
         `top` is the chain, largest first.  Adding c copies of Z/n sets
@@ -213,7 +213,7 @@ class AbelianGroup:
                 raise ValueError(f"cyclic order {n} < 2")
             top += [1] * c
             top = [lcm(s, gcd(n, top[j - c]) if j >= c else n) for j, s in enumerate(top)]
-        return cls.from_invariant_factors(reversed(top), rank)
+        return cls.from_invariant_factors(reversed(top))
 
     @cached_property
     def primary_factors(self) -> tuple[int, ...]:
@@ -250,10 +250,6 @@ class AbelianGroup:
             items.append(f"({count}){factors[i]}" if count > 1 else str(factors[i]))
             i = j
         return "[" + ",".join(items) + "]"
-
-
-def iso_equal(g: AbelianGroup, h: AbelianGroup) -> bool:
-    return g == h
 
 
 def away_from(g: AbelianGroup, p: int) -> AbelianGroup:

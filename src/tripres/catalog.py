@@ -7,19 +7,12 @@ and of its two multiplier twists.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .abelian import AbelianGroup, abelianization
 from .plane import build_plane
 from .presentations import enumerate_all_invariant, group_presentation, twist_multiplier
-
-
-def key_digest(canonical_key) -> str:
-    """Short stable digest of a canonical triple list, used in label files."""
-    blob = ";".join(map("%d,%d,%d".__mod__, canonical_key)).encode()
-    return hashlib.sha256(blob).hexdigest()[:12]
 
 
 @dataclass(frozen=True)
@@ -53,7 +46,7 @@ def invariant_catalog(q: int) -> tuple[TwistOrbit, ...]:
                 twist_q=g1,
                 twist_q2=g2,
                 inverse_index=cls.inverse_index,
-                key_digest=key_digest(cls.canonical_key),
+                key_digest=cls.key_digest,
             )
         )
     return tuple(orbits)

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import __version__
 from .abelian import abelianization
-from .catalog import invariant_catalog, key_digest
+from .catalog import invariant_catalog
 from .gf import SUPPORTED_Q, build_field, poly_str
 from .plane import build_plane, check_difference_set
 from .presentations import (
@@ -119,7 +119,7 @@ def cmd_enumerate(args) -> int:
     print(f"q={args.q} N={plane.n_points} classes={len(classes)}")
     for c in classes:
         b0, sigma0 = c.members[0]
-        digest = key_digest(c.canonical_key)
+        digest = c.key_digest
         name = labels.get(digest, f"class {c.index}")
         print(
             f"{name}: b={b0} sigma={sigma0.describe()} members={len(c.members)} "
@@ -198,8 +198,7 @@ def cmd_verify(args) -> int:
     labels = _load_labels(args.labels)
     ds = load_dataset(args.data)
     if not args.all_q and args.q not in ds.qs():
-        print(f"error: q={args.q} not present in the dataset", file=sys.stderr)
-        return 2
+        raise ValueError(f"q={args.q} not present in the dataset")
     catalogs = {q: invariant_catalog(q) for q in (ds.qs() if args.all_q else (args.q,))}
     report = verify_abelianizations(ds, catalogs)
     print(_header())

@@ -122,23 +122,12 @@ class FieldElement:
             and self.coeffs == other.coeffs
         )
 
-    def __hash__(self) -> int:
-        return hash((id(self.ctx), self.coeffs))
-
     def __bool__(self) -> bool:
         return any(self.coeffs)
 
     def __add__(self, other: "FieldElement") -> "FieldElement":
         p = self.ctx.p
         return FieldElement(self.ctx, tuple((x + y) % p for x, y in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "FieldElement") -> "FieldElement":
-        p = self.ctx.p
-        return FieldElement(self.ctx, tuple((x - y) % p for x, y in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> "FieldElement":
-        p = self.ctx.p
-        return FieldElement(self.ctx, tuple(-x % p for x in self.coeffs))
 
     def __mul__(self, other: "FieldElement") -> "FieldElement":
         if not self or not other:
@@ -151,9 +140,6 @@ class FieldElement:
                 raise ZeroDivisionError("inverse of zero")
             return self.ctx.one if n == 0 else self.ctx.zero
         return self.ctx.from_log(self.log() * n)
-
-    def inverse(self) -> "FieldElement":
-        return self ** -1
 
     def trace(self) -> "FieldElement":
         """Tr(a) = a + a^q + a^(q^2), a GF(q)-linear map onto GF(q)."""
@@ -171,7 +157,7 @@ class FieldElement:
 
 
 class FieldContext:
-    """GF(p^d) with d = 3e, its GF(q) subfield and the primitive generator x.
+    """GF(p^d) with d = 3e, a cubic extension of GF(q), and its primitive generator x.
 
     Immutable after construction; all operations are pure.
     """
@@ -180,10 +166,8 @@ class FieldContext:
         p, e, q = pp.p, pp.e, pp.q
         d = 3 * e
         self.p = p
-        self.e = e
         self.q = q
         self.degree = d
-        self.num_elements = p ** d
         self.order = p ** d - 1
 
         # modulus: length d+1, monic, constant term first; _exp[k] = x^k mod modulus
@@ -193,25 +177,9 @@ class FieldContext:
         self.one = FieldElement(self, self._exp[0])
         self.generator = FieldElement(self, self._exp[1])
 
-    # -- construction -------------------------------------------------------
-
-    def element(self, coeffs) -> FieldElement:
-        c = tuple(int(x) % self.p for x in coeffs)
-        if len(c) > self.degree and any(c[self.degree:]):
-            raise ValueError("coefficient sequence longer than field degree")
-        c = (c + (0,) * self.degree)[: self.degree]
-        return FieldElement(self, c)
-
     def from_log(self, k: int) -> FieldElement:
         """g^k for the primitive generator g = x."""
         return FieldElement(self, self._exp[k % self.order])
-
-    def subfield(self) -> tuple[FieldElement, ...]:
-        """The q elements fixed by a -> a^q."""
-        out = [self.zero]
-        step = self.order // (self.q - 1)
-        out.extend(self.from_log(k * step) for k in range(self.q - 1))
-        return tuple(out)
 
     def __repr__(self) -> str:
         return f"FieldContext(GF({self.p}^{self.degree}), modulus={poly_str(self.modulus)})"

@@ -28,12 +28,13 @@ sets (used in the tests) confirms the reduction at q = 2.
 
 from __future__ import annotations
 
+import hashlib
 import re
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from .gf import prime_power
+from .gf import SUPPORTED_Q, prime_power
 from .plane import SingerPlane, build_plane
 
 Triple = tuple[int, int, int]
@@ -429,6 +430,12 @@ def canonical_form(p: TrianglePresentation) -> tuple[Triple, ...]:
     return tuple(sorted(((r * x) % n, (r * y) % n, (r * z) % n) for x, y, z in p.triples))
 
 
+def key_digest(form) -> str:
+    """Short stable digest of a canonical triple list, used in label files."""
+    blob = ";".join(map("%d,%d,%d".__mod__, form)).encode()
+    return hashlib.sha256(blob).hexdigest()[:12]
+
+
 def _orbit_key(q: int, n: int, b: int, sigma: SigmaCycle):
     """Class key of an invariant presentation under affine relabelings.
 
@@ -449,7 +456,8 @@ class InvariantClass:
     index: int
     members: tuple[tuple[int, SigmaCycle], ...]
     representative: TrianglePresentation
-    canonical_key: tuple[Triple, ...]
+    key_digest: str
+    """`key_digest` of the representative's canonical form."""
     inverse_index: int
     """Index of the class presenting the generator-inverse group."""
 
@@ -474,7 +482,7 @@ def enumerate_all_invariant(plane: SingerPlane) -> list[InvariantClass]:
                 index=i,
                 members=members,
                 representative=rep,
-                canonical_key=canonical_form(rep),
+                key_digest=key_digest(canonical_form(rep)),
                 inverse_index=index_of[inv_key],
             )
         )
@@ -579,6 +587,8 @@ def presentation_from_text(text: str) -> TrianglePresentation:
         if key not in header:
             raise PresentationFormatError(f"missing header line {key}=...")
     q, n = header["q"], header["N"]
+    if q not in SUPPORTED_Q:
+        raise PresentationFormatError(f"header q={q} is not one of {SUPPORTED_Q}")
     if n != q * q + q + 1:
         raise PresentationFormatError(
             f"header N={n} does not match q={q}: expected N = q^2+q+1 = {q * q + q + 1}"

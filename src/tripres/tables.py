@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Mapping, Sequence
 
-from .abelian import AbelianGroup, away_from, direct_double, iso_equal
+from .abelian import AbelianGroup, away_from, direct_double
 from .catalog import TwistOrbit
 from .presentations import read_int
 
@@ -96,12 +96,10 @@ def format_group_cell(rank: int | None, group: AbelianGroup) -> str:
 class GroupCell:
     rank: int | None
     torsion: AbelianGroup
-    raw: str
 
     @classmethod
     def parse(cls, text: str) -> "GroupCell":
-        rank, torsion = parse_group_cell(text)
-        return cls(rank=rank, torsion=torsion, raw=text.strip())
+        return cls(*parse_group_cell(text))
 
     def normalized(self) -> str:
         return format_group_cell(self.rank, self.torsion)
@@ -202,7 +200,7 @@ def twice_heuristic(row: PaperRow) -> str:
     expected = away_from(direct_double(row.gamma_ab), 3)
     if actual.is_trivial and expected.is_trivial:
         return VACUOUS
-    return HOLDS if iso_equal(actual, expected) else FAILS
+    return HOLDS if actual == expected else FAILS
 
 
 @dataclass(frozen=True)
@@ -334,7 +332,7 @@ def verify_abelianizations(
 
         for fam in published_families(ds, q):
             base = fam.cells[0]
-            same_base = [o for o in free if iso_equal(o.base, base)]
+            same_base = [o for o in free if o.base == base]
             if fam.complete:
                 want = fam.signature()
                 pick = next((o for o in free if o.signature() == want), None)

@@ -10,7 +10,6 @@ from tripres.abelian import (
     determinant,
     direct_double,
     invariant_factors,
-    iso_equal,
     snf,
 )
 
@@ -190,27 +189,21 @@ def test_primary_ops():
     assert away_from(g, 3).primary_factors == (2, 2, 2)
     d = direct_double(AbelianGroup.from_primary([2, 7]))
     assert d.divisors == (14, 14)
-    assert iso_equal(d, AbelianGroup.from_primary([2, 2, 7, 7]))
+    assert d == AbelianGroup.from_primary([2, 2, 7, 7])
 
 
-def test_iso_equal_distinguishes_primary_types():
+def test_group_equality_distinguishes_primary_types():
     a = AbelianGroup.from_primary([2, 8])
     b = AbelianGroup.from_primary([4, 4])
-    assert not iso_equal(a, b)
-    assert iso_equal(
-        AbelianGroup.from_primary([2, 8, 3]),
-        AbelianGroup.from_primary([2, 3, 8]),
-    )
-    assert iso_equal(
-        AbelianGroup.from_primary([2, 8, 3]),
-        AbelianGroup(rank=0, divisors=(2, 24)),
-    )
+    assert a != b
+    assert AbelianGroup.from_primary([2, 8, 3]) == AbelianGroup.from_primary([2, 3, 8])
+    assert AbelianGroup.from_primary([2, 8, 3]) == AbelianGroup(rank=0, divisors=(2, 24))
 
 
 def test_rank_tracked():
     g = AbelianGroup(rank=4, divisors=())
     assert direct_double(g).rank == 8
-    assert not iso_equal(g, AbelianGroup(rank=0, divisors=()))
+    assert g != AbelianGroup(rank=0, divisors=())
 
 
 def _gp(num_generators, relators):
@@ -244,7 +237,7 @@ def test_abelianization_matches_snf_of_relation_matrix():
         slow = AbelianGroup.from_invariant_factors(
             divisors, rank=gp.num_generators - len(divisors)
         )
-        assert iso_equal(fast, slow), gp
+        assert fast == slow, gp
 
 
 def test_abelianization_invariant_under_relator_moves():
@@ -253,11 +246,11 @@ def test_abelianization_invariant_under_relator_moves():
     base = _gp(4, [(1, 2, 3), (2, 3, 4), (3, 3, 3)])
     g = abelianization(base)
     # relator reordering
-    assert iso_equal(abelianization(_gp(4, [(3, 3, 3), (1, 2, 3), (2, 3, 4)])), g)
+    assert abelianization(_gp(4, [(3, 3, 3), (1, 2, 3), (2, 3, 4)])) == g
     # cyclic rotation of a relator
-    assert iso_equal(abelianization(_gp(4, [(2, 3, 1), (2, 3, 4), (3, 3, 3)])), g)
+    assert abelianization(_gp(4, [(2, 3, 1), (2, 3, 4), (3, 3, 3)])) == g
     # inverting a relator
-    assert iso_equal(abelianization(_gp(4, [(-3, -2, -1), (2, 3, 4), (3, 3, 3)])), g)
+    assert abelianization(_gp(4, [(-3, -2, -1), (2, 3, 4), (3, 3, 3)])) == g
     # permuting generators
     perm = {1: 2, 2: 3, 3: 4, 4: 1}
     relabeled = _gp(
@@ -267,7 +260,7 @@ def test_abelianization_invariant_under_relator_moves():
             for rel in base.relators
         ],
     )
-    assert iso_equal(abelianization(relabeled), g)
+    assert abelianization(relabeled) == g
 
 
 def test_all_catalog_groups_are_finite():

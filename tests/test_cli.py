@@ -156,13 +156,15 @@ def test_header_n_mismatch_is_a_format_error(capsys, tmp_path, n):
     "header, field",
     [
         ("q=6\nN=43\na=1\nb=0", "q=6"),
+        ("q=0\nN=1\na=0\nb=0", "q=0"),
+        ("q=-1\nN=1\na=0\nb=0", "q=-1"),
         ("q=2\nN=8\na=1\nb=0", "N=8"),
         ("q=2\nN=7\na=15\nb=0", "a=15"),
         ("q=2\nN=7\na=1\nb=-3", "b=-3"),
         ("q=2\nN=7\na=1\nb=0\nscale=0", "scale=0"),
         ("q=2\nN=7\na=1\nb=0\nscale=8", "scale=8"),
     ],
-    ids=["q", "N", "a", "b", "scale", "scale_past_N"],
+    ids=["q", "q_zero", "q_negative", "N", "a", "b", "scale", "scale_past_N"],
 )
 def test_malformed_header_field(capsys, tmp_path, header, field):
     bad = tmp_path / "bad.tp"
@@ -306,8 +308,10 @@ def test_verify_reports_failures(capsys, tmp_path, old, new, report):
 
 
 def test_verify_rejects_unknown_q(capsys):
-    code, _, err = run(capsys, "verify", "--q", "13")
+    code, out, err = run(capsys, "verify", "--q", "13")
     assert code == 2
+    assert out == ""
+    assert err == "error: q=13 not present in the dataset\n"
 
 
 def test_survey_reports_deviation(capsys):
