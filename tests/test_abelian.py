@@ -310,6 +310,15 @@ def test_catalog_groups_pinned():
         assert hashlib.sha256(blob.encode()).hexdigest() == PINNED_CATALOG_GROUPS[q], f"q={q}"
 
 
+def _extended(q, k, mult):
+    """The degree-3 extension of q's class k by the multiplier phi(j) = mult*j."""
+    from tripres.plane import build_plane
+    from tripres.presentations import enumerate_all_invariant, extended_presentation
+
+    p = enumerate_all_invariant(build_plane(q))[k].representative
+    return extended_presentation(p, [mult * j % p.n for j in range(p.n)])
+
+
 def _sympy_group(gp):
     """Independent oracle: sympy's invariant factors of the relation matrix."""
     from tripres.abelian import relation_matrix
@@ -393,6 +402,19 @@ def test_abelianization_matches_sympy_on_random_relators():
         # the second relator is zero once x2 = x1 is substituted; Z_3 is left
         _gp(2, [(1, -2), (1, 1, -2, -2), (1, 1, 1)]),
         _gp(3, [(1, -2), (2, -3), (1, -3, 1, -3), (2, 2)]),
+        # two finite live coordinates, Z_2 + Z_4: the last row is 0 mod 2 in the
+        # first coordinate and 2 mod 4 in the second, so both must be tested
+        _gp(2, [(1, 1), (2, 2, 2, 2), (1, 1, 2, 2, 2, 2), (2, 2)]),
+        _gp(2, [(1, 1), (2, 2, 2, 2), (1, 1, 2, 2, 2, 2), (2,) * 8, (-1, -1, 2, 2, 2, 2)]),
+        # a free coordinate beside torsion Z_6: the torsion residue of the
+        # last row is 0 and only its free part puts it outside the lattice
+        _gp(3, [(1, 1), (2, 2, 2), (1, 1, 3, 3)]),
+        _gp(4, [(1, 1), (2, 2, 2), (1, 1, 3, 3), (1,) * 6 + (2,) * 6]),
+        # 4e1 and 4e2 fill the images with V = I; 2e1 + 2e2 lowers a d_i to 2
+        # and changes V, so 2e1 is outside the lattice only in the new coordinates
+        _gp(2, [(1,) * 4, (2,) * 4, (1,) * 4 + (2,) * 4, (1, 1, 2, 2), (1, 1)]),
+        # t x_j t^-1 x_phi(j)^-1 has negative letters and four of them
+        *(_extended(q, k, m) for q in (2, 3) for k in (0, 1) for m in (q, q * q)),
     ],
 )
 def test_abelianization_matches_sympy_on_core_growth_paths(gp):

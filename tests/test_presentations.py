@@ -354,6 +354,32 @@ def test_group_presentation_counts():
     assert all(len(r) == 3 and all(x > 0 for x in r) for r in gp.relators)
 
 
+# sha256 of the relator tuples of each catalog representative and its two
+# multiplier twists, in catalog order: (presentations, digest)
+PINNED_RELATORS = {
+    2: (6, "d25d9fb340927075691a3df9cb0106558db7b2876bd1c0100666b93cdc4aeaad"),
+    3: (6, "66b5cc2b8a3e4ef5a5a085e31421463ae036756927bc9f1e0bb640a5f68a15ac"),
+    4: (12, "470ff1eac99fec91ce00e8450130abf6f1a9a28a7bc0de2a3070284ba7d22201"),
+    5: (12, "a21985c256e9b9fb2c2e9d3f75164495bfbe2ad2ad5b5251558941d70fcc305a"),
+    7: (36, "bc7c9d48469c62b4d403e4ed5d4edb6339b12d475cce384c17c9aeca504882c0"),
+    8: (12, "a7bd989cc79e4f43edb752f1777449b401beb7ea7dca9ba06bd90cd705be0104"),
+    9: (18, "877cd4989b5f434d84d2916827f9168fd25697489232caf14b9a0df29a68c8bc"),
+}
+
+
+def test_group_presentation_relators_pinned():
+    for q, pinned in PINNED_RELATORS.items():
+        digest = hashlib.sha256()
+        count = 0
+        for cls in enumerate_all_invariant(build_plane(q)):
+            rep = cls.representative
+            for k in range(3):
+                gp = group_presentation(twist_multiplier(rep, k) if k else rep)
+                digest.update(repr(gp.relators).encode())
+                count += 1
+        assert (count, digest.hexdigest()) == pinned, f"q={q}"
+
+
 def test_rotation_fixed_triples_q3():
     # sigma(0) = 0 contributes the 13 one-element rotation classes x_i^3
     p = enumerate_invariant(build_plane(3), 0)[0]

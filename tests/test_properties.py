@@ -18,7 +18,7 @@ from sympy.matrices.normalforms import invariant_factors as sympy_factors
 from tripres.abelian import AbelianGroup, abelianization, relation_matrix
 from tripres.cli import main
 from tripres.gf import factorize
-from tripres.presentations import GroupPresentation
+from tripres.presentations import Correspondence, GroupPresentation, TrianglePresentation
 from tripres.tables import format_group_cell, parse_group_cell
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=150)
@@ -75,6 +75,20 @@ def test_factorize_is_a_prime_factorization(n):
     fac = factorize(n)
     assert all(isprime(p) and e >= 1 for p, e in fac.items())
     assert prod(p**e for p, e in fac.items()) == n
+
+
+# small coordinates, so that x = y, x = z and x = y = z are common
+small_triples = st.tuples(*[st.integers(0, 3)] * 3) | st.tuples(*[st.integers(0, 40)] * 3)
+
+
+@SETTINGS
+@example({(0, 0, 1), (0, 1, 0), (1, 0, 0), (2, 2, 2), (1, 1, 0), (3, 1, 1)})
+@given(st.sets(small_triples, max_size=30))
+def test_rotation_classes_match_lex_least_rotation(triples):
+    # any triple set, also one that is not closed under rotation
+    p = TrianglePresentation(q=2, n=7, corr=Correspondence(1, 0), triples=frozenset(triples))
+    want = sorted({min((x, y, z), (y, z, x), (z, x, y)) for x, y, z in triples})
+    assert p.rotation_classes() == tuple(want)
 
 
 @st.composite
