@@ -19,16 +19,18 @@ V with U*M*V = D.
 
 `AbelianGroup` holds its torsion as that divisor chain, which is unique,
 so groups compare and sort by (rank, divisors); `from_primary` builds the
-chain with gcd and lcm alone, and prime powers are found only to print a
-group.
+chain over a coprime base of the orders, with gcd alone, and prime powers
+are found only to print a group.
 
 `abelianization` solves generators on +-1 coefficients by lazy Tietze
 substitution: each generator is written once in terms of a few free seed
 generators (unit-pivot elimination after Havas-Holt-Rees, "Recognizing
 badly presented Z-modules", 1993).  Of the remaining relators it keeps
 only those that enlarge the lattice spanned by the rows kept so far,
-tested in the Smith coordinates of `snf`; the few kept rows, a few seed
-columns wide, go to `invariant_factors`.
+tested in the Smith coordinates of `snf`: a generator's image in a
+coordinate is computed once per `snf`, on first use, so a test is one
+short integer sum per coordinate, stopped at the first nonzero residue.
+The few kept rows, a few seed columns wide, go to `invariant_factors`.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd
 
 from .gf import factorize
 
@@ -202,17 +204,58 @@ class AbelianGroup:
     def from_primary(cls, orders) -> "AbelianGroup":
         """Build the divisor chain of a sum of cyclic groups Z/n, each n >= 2.
 
-        `top` is the chain, largest first.  Adding c copies of Z/n sets
-        top[j] to lcm(top[j], gcd(n, top[j - c])), read as n for j < c: for
-        each prime this inserts c copies of n's exponent into the sorted
-        list of exponents, so no order is ever factorized.
+        No order is factorized.  The orders are refined to a coprime base
+        (Bach-Driscoll-Shallit, "Factor refinement", 1993): pairwise coprime
+        b > 1 of which every order is a product of powers.  A number a
+        coprime to the base joins it; else g = gcd(a, b) for a base element
+        b that shares a factor with a splits a and b, and the pieces are
+        queued again.  b = gcd(a, product of the base) when that is a base
+        element, so only an a that is no multiple of one scans the base.
+        By CRT Z/n is the sum of the Z/b^e over n's exponents e, so the k-th
+        chain term, largest first, takes the k-th largest exponent at each b.
         """
-        top: list[int] = []
-        for n, c in Counter(orders).items():
+        counts = Counter(orders)
+        base: dict[int, None] = {}  # an insertion-ordered set
+        split: dict[int, tuple[int, int]] = {}  # x = g * h, for each x split
+        product = 1
+        for n in counts:
             if n < 2:
                 raise ValueError(f"cyclic order {n} < 2")
-            top += [1] * c
-            top = [lcm(s, gcd(n, top[j - c]) if j >= c else n) for j, s in enumerate(top)]
+            todo = [n]
+            while todo:
+                a = todo.pop()
+                g = gcd(a, product)
+                if g == 1:
+                    base[a] = None
+                    product *= a
+                    continue
+                b = g if g in base else next(b for b in base if gcd(a, b) > 1)
+                g = gcd(a, b)
+                if g < b:
+                    del base[b]
+                    product //= b
+                    split[b] = (g, b // g)
+                    todo += [g, b // g]
+                if g < a:
+                    split[a] = (g, a // g)
+                    todo.append(a // g)
+
+        def exponents(x: int) -> Counter:
+            if x in base:
+                return Counter({x: 1})
+            g, h = split[x]
+            return exponents(g) + exponents(h)
+
+        exps: dict[int, list[int]] = {}
+        for n, c in counts.items():
+            for b, e in exponents(n).items():
+                exps.setdefault(b, []).extend([e] * c)
+        top: list[int] = []  # the chain, largest first
+        for b, es in exps.items():
+            es.sort(reverse=True)
+            top += [1] * (len(es) - len(top))
+            for k, e in enumerate(es):
+                top[k] *= b**e
         return cls.from_invariant_factors(reversed(top))
 
     @cached_property
@@ -314,10 +357,12 @@ def abelianization(gp) -> AbelianGroup:
     spanned by the kept rows K, written in the seeds.  With
     U*K*V = D = `snf(K)`, L*V is the sum of d_i*Z, so a relator r lies in L
     iff (r*V)_i = 0 mod d_i wherever d_i != 1 (d_i = 0 past the rank).
-    Each generator's image expr[j]*V is cached, reduced mod d_i, until the
-    next `snf`, so the test costs a few short vector sums.  A relator in L
-    is skipped without being rewritten; one outside L is rewritten in the
-    seeds and kept.  Once every d_i is 1 the quotient is trivial and the
+    Column i of V gets a list of generator images expr[j]*V_i, reduced mod
+    d_i, filled on first use and rebuilt after each `snf`.  The test is a
+    plain sum of c * image over the relator's few terms, one coordinate at
+    a time, and stops at the first nonzero residue, so a relator in L costs
+    one such sum per live coordinate.  A relator in L is skipped without
+    being rewritten; one outside L is rewritten in the seeds and kept.  Once every d_i is 1 the quotient is trivial and the
     rest are skipped.  The kept rows go to `invariant_factors`.
 
     The result is the cokernel of the full core: a skipped relator lay in
@@ -376,22 +421,25 @@ def abelianization(gp) -> AbelianGroup:
         u = min((j for j in range(n) if j not in expr), key=lambda j: (-pairs.get(j, 0), j))
         solve(u, {seeds: 1})
         seeds += 1
-    # kept rows K and the live Smith coordinates (i, d_i) of snf(K), d_i != 1;
-    # with no row kept yet V = I and every d_i = 0
+    # kept rows K, and one (w, col, d) per live Smith coordinate of snf(K),
+    # d = d_i != 1: col is column i of V, and w[j], filled on first use, is
+    # expr[j]*col, reduced mod d when d != 0.  With no row kept, V = I and d = 0.
     kept: list[list[int]] = []
-    v = [[int(s == i) for i in range(seeds)] for s in range(seeds)]
-    live = [(i, 0) for i in range(seeds)]
-    img: dict[int, list[int]] = {}
+    live = [([None] * n, [int(s == i) for s in range(seeds)], 0) for i in range(seeds)]
     for row, done in zip(rows, used):
         if done:
             continue
-        t = [0] * len(live)
-        for j, c in row.items():
-            if j not in img:
-                ys = (sum(x * v[s][i] for s, x in expr[j].items()) for i, _ in live)
-                img[j] = [y % d if d else y for y, (_, d) in zip(ys, live)]
-            t = [a + c * b for a, b in zip(t, img[j])]
-        if not any(x % d if d else x for x, (_, d) in zip(t, live)):
+        for w, col, d in live:
+            t = 0
+            for j, c in row.items():
+                y = w[j]
+                if y is None:
+                    y = sum(x * col[s] for s, x in expr[j].items())
+                    w[j] = y = y % d if d else y
+                t += c * y
+            if t % d if d else t:
+                break
+        else:
             continue
         vec = [0] * seeds
         for j, c in row.items():
@@ -399,9 +447,11 @@ def abelianization(gp) -> AbelianGroup:
                 vec[s] += c * x
         kept.append(vec)
         res = snf(kept)
-        v = res.v
-        live = [(i, d) for i in range(seeds) if (d := res.d[i][i] if i < len(kept) else 0) != 1]
-        img.clear()
+        live = [
+            ([None] * n, [r[i] for r in res.v], d)
+            for i in range(seeds)
+            if (d := res.d[i][i] if i < len(kept) else 0) != 1
+        ]
         if not live:
             break
     factors = invariant_factors(kept) if kept else ()

@@ -87,14 +87,12 @@ def cmd_field(args) -> int:
 
 def cmd_plane(args) -> int:
     plane = build_plane(args.q)
+    if not check_difference_set(plane).ok:
+        raise ValueError(f"the q={args.q} difference set fails its invariants")
     print(_header(args.q))
     print(f"N={plane.n_points}")
     dstr = " ".join(str(j) for j in plane.difference_set)
     print(f"D(q={plane.q},N={plane.n_points}) = {dstr}")
-    report = check_difference_set(plane)
-    if not report.ok:
-        print("warning: difference-set invariants failed", file=sys.stderr)
-        return 1
     return 0
 
 

@@ -114,11 +114,22 @@ class TrianglePresentation:
     triples: frozenset[Triple]
 
     def rotation_classes(self) -> tuple[Triple, ...]:
-        """Lex-least representative of each rotation class, sorted."""
+        """Lex-least representative of each rotation class, sorted.
+
+        The rotation that starts at a strict minimum is the lex-least one;
+        only a triple with a repeated least coordinate needs `min`.
+        """
         reps = set()
         for t in self.triples:
             x, y, z = t
-            reps.add(min(t, (y, z, x), (z, x, y)))
+            if x < y and x < z:
+                reps.add(t)
+            elif y < z and y < x:
+                reps.add((y, z, x))
+            elif z < x and z < y:
+                reps.add((z, x, y))
+            else:
+                reps.add(min(t, (y, z, x), (z, x, y)))
         return tuple(sorted(reps))
 
     def __repr__(self) -> str:
@@ -495,9 +506,7 @@ def enumerate_all_invariant(plane: SingerPlane) -> list[InvariantClass]:
 
 def group_presentation(p: TrianglePresentation) -> GroupPresentation:
     """One length-3 positive relator per rotation class of T."""
-    relators = tuple(
-        (x + 1, y + 1, z + 1) for x, y, z in p.rotation_classes()
-    )
+    relators = tuple([(x + 1, y + 1, z + 1) for x, y, z in p.rotation_classes()])
     return GroupPresentation(num_generators=p.n, relators=relators)
 
 

@@ -36,6 +36,19 @@ def test_plane_q2(capsys):
     assert out.startswith("# generated-by: tripres")
 
 
+def test_plane_failing_check_exits_2(capsys, monkeypatch):
+    import tripres.cli
+    from tripres.plane import DifferenceSetReport
+
+    failing = DifferenceSetReport(
+        ok=False, size_ok=True, perfect_ok=False, multiplier_ok=True, difference_counts=((1, 2),)
+    )
+    monkeypatch.setattr(tripres.cli, "check_difference_set", lambda plane: failing)
+    code, out, err = run(capsys, "plane", "--q", "2")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_field_q2(capsys):
     code, out, _ = run(capsys, "field", "--q", "2")
     assert code == 0

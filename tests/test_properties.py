@@ -44,13 +44,13 @@ def test_composite_orders_split_into_prime_powers(items):
     assert parse_group_cell(cell) == (None, AbelianGroup.from_primary(split))
 
 
-def _chain_by_popping(primaries):
-    """The divisor chain as from_primary built it before: pop each prime's
-    largest exponent into d_1, then the next largest into d_2, and so on."""
+def _chain_by_popping(orders):
+    """The divisor chain from factorized orders: pop each prime's largest
+    exponent into d_1, then the next largest into d_2, and so on."""
     by_prime = {}
-    for pk in primaries:
-        ((p, e),) = factorize(pk).items()
-        by_prime.setdefault(p, []).append(e)
+    for n in orders:
+        for p, e in factorize(n).items():
+            by_prime.setdefault(p, []).append(e)
     for exps in by_prime.values():
         exps.sort(reverse=True)
     chain = []
@@ -63,6 +63,17 @@ def _chain_by_popping(primaries):
 @given(st.lists(prime_powers, max_size=20))
 def test_from_primary_chain_unchanged(primaries):
     assert AbelianGroup.from_primary(primaries).divisors == _chain_by_popping(primaries)
+
+
+# orders that share factors in many ways: small numbers, products of prime
+# powers, and a few large ones
+composite_orders = st.integers(2, 200) | st.builds(lambda a, b: a * b, prime_powers, prime_powers) | st.integers(2, 10**12)
+
+
+@SETTINGS
+@given(st.lists(composite_orders, max_size=25))
+def test_from_primary_matches_factorizing_oracle(orders):
+    assert AbelianGroup.from_primary(orders).divisors == _chain_by_popping(orders)
 
 
 def test_composite_cell_example():

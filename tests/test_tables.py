@@ -98,6 +98,20 @@ def test_long_repetition_parses_in_linear_time():
     assert rank is None and g.divisors == (2,) * 200000
 
 
+def test_many_distinct_orders_parse_quickly():
+    # a chain rebuilt once per distinct order made this cell take about a second
+    import time
+    from math import factorial, lcm
+
+    cell = "[" + ",".join(map(str, range(2, 3002))) + "]"
+    start = time.perf_counter()
+    rank, g = parse_group_cell(cell)
+    assert time.perf_counter() - start < 0.2
+    # 1500 even orders, the largest term is the lcm, and the order is 3001!
+    assert len(g.divisors) == 1500 and g.divisors[-1] == lcm(*range(2, 3002))
+    assert g.order() == factorial(3001)
+
+
 def test_format_inverts_parse():
     for text in ("[(3)2,3]", "26 [2]", "4 []", "0 [(6)2,3]", "[3,9]", "[2,8,3]"):
         rank, g = parse_group_cell(text)
