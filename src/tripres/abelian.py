@@ -204,51 +204,52 @@ class AbelianGroup:
     def from_primary(cls, orders) -> "AbelianGroup":
         """Build the divisor chain of a sum of cyclic groups Z/n, each n >= 2.
 
-        No order is factorized.  The orders are refined to a coprime base
-        (Bach-Driscoll-Shallit, "Factor refinement", 1993): pairwise coprime
-        b > 1 of which every order is a product of powers.  A number a
-        coprime to the base joins it; else g = gcd(a, b) for a base element
-        b that shares a factor with a splits a and b, and the pieces are
-        queued again.  b = gcd(a, product of the base) when that is a base
-        element, so only an a that is no multiple of one scans the base.
-        By CRT Z/n is the sum of the Z/b^e over n's exponents e, so the k-th
-        chain term, largest first, takes the k-th largest exponent at each b.
+        No order is factorized: the orders are refined to a coprime base
+        (Bach-Driscoll-Shallit, "Factor refinement", 1993), pairwise coprime
+        b > 1 of which each order is a product of powers.  A number a that
+        shares a factor with a base element b is split by g = gcd(a, b), and
+        so is b when g < b; b is gcd(a, base product) itself when a is a
+        multiple of it, else found by a scan.  By CRT Z/n is the sum of the
+        Z/b^e over n's exponents e, so the k-th chain term, largest first,
+        takes the k-th largest exponent at each b.
         """
         counts = Counter(orders)
         base: dict[int, None] = {}  # an insertion-ordered set
         split: dict[int, tuple[int, int]] = {}  # x = g * h, for each x split
         product = 1
-        for n in counts:
-            if n < 2:
-                raise ValueError(f"cyclic order {n} < 2")
-            todo = [n]
-            while todo:
-                a = todo.pop()
-                g = gcd(a, product)
-                if g == 1:
-                    base[a] = None
-                    product *= a
-                    continue
-                b = g if g in base else next(b for b in base if gcd(a, b) > 1)
-                g = gcd(a, b)
-                if g < b:
-                    del base[b]
-                    product //= b
-                    split[b] = (g, b // g)
-                    todo += [g, b // g]
-                if g < a:
-                    split[a] = (g, a // g)
-                    todo.append(a // g)
-
-        def exponents(x: int) -> Counter:
-            if x in base:
-                return Counter({x: 1})
-            g, h = split[x]
-            return exponents(g) + exponents(h)
+        todo = sorted(counts, reverse=True)
+        if todo and todo[-1] < 2:
+            raise ValueError(f"cyclic order {todo[-1]} < 2")
+        while todo:
+            a = todo.pop()
+            if (g := gcd(a, product)) == 1:
+                base[a] = None
+                product *= a
+                continue
+            b = g if g in base else next(b for b in base if gcd(a, b) > 1)
+            g = gcd(a, b)
+            if g < b:
+                del base[b]
+                product //= b
+                split[b] = (g, b // g)
+                todo += [g, b // g]
+            if g < a:
+                split[a] = (g, a // g)
+                todo.append(a // g)
 
         exps: dict[int, list[int]] = {}
         for n, c in counts.items():
-            for b, e in exponents(n).items():
+            # walk n's split tree down to its base leaves, without recursion:
+            # n = 2**k above a base element 2 is split k - 1 times
+            leaves: Counter = Counter()
+            stack = [n]
+            while stack:
+                x = stack.pop()
+                if x in base:
+                    leaves[x] += 1
+                else:
+                    stack += split[x]
+            for b, e in leaves.items():
                 exps.setdefault(b, []).extend([e] * c)
         top: list[int] = []  # the chain, largest first
         for b, es in exps.items():
@@ -357,13 +358,14 @@ def abelianization(gp) -> AbelianGroup:
     spanned by the kept rows K, written in the seeds.  With
     U*K*V = D = `snf(K)`, L*V is the sum of d_i*Z, so a relator r lies in L
     iff (r*V)_i = 0 mod d_i wherever d_i != 1 (d_i = 0 past the rank).
-    Column i of V gets a list of generator images expr[j]*V_i, reduced mod
-    d_i, filled on first use and rebuilt after each `snf`.  The test is a
-    plain sum of c * image over the relator's few terms, one coordinate at
-    a time, and stops at the first nonzero residue, so a relator in L costs
-    one such sum per live coordinate.  A relator in L is skipped without
-    being rewritten; one outside L is rewritten in the seeds and kept.  Once every d_i is 1 the quotient is trivial and the
-    rest are skipped.  The kept rows go to `invariant_factors`.
+    Each live coordinate i holds the generator images expr[j]*V_i, reduced
+    mod d_i, filled on first use and rebuilt after each `snf`.  The test
+    sums c * image over the relator's few terms, one coordinate at a time,
+    and stops at the first nonzero residue, so a relator in L costs one
+    such sum per live coordinate.  A relator in L is skipped without being
+    rewritten; one outside L is rewritten in the seeds and kept.  Once
+    every d_i is 1 the quotient is trivial and the rest are skipped.  The
+    kept rows go to `invariant_factors`.
 
     The result is the cokernel of the full core: a skipped relator lay in
     span(K) when it was tested and the span only grows, so the kept rows

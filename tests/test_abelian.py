@@ -175,6 +175,8 @@ def test_from_primary_builds_chain():
     assert g.divisors == (14, 14)
     h = AbelianGroup.from_primary([2, 8, 3])
     assert h.divisors == (2, 24)
+    # 2**3000 is split into 2s one at a time: a deep split, walked without recursion
+    assert AbelianGroup.from_primary([2**3000, 2, 6]).divisors == (2, 2, 3 * 2**3000)
     assert str(h) == "[2,8,3]"
 
 
