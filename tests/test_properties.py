@@ -67,7 +67,9 @@ def test_from_primary_chain_unchanged(primaries):
 
 # orders that share factors in many ways: small numbers, products of prime
 # powers, and a few large ones
-composite_orders = st.integers(2, 200) | st.builds(lambda a, b: a * b, prime_powers, prime_powers) | st.integers(2, 10**12)
+composite_orders = (
+    st.integers(2, 200) | st.builds(lambda a, b: a * b, prime_powers, prime_powers) | st.integers(2, 10**12)
+)
 
 
 @SETTINGS
