@@ -380,6 +380,50 @@ def test_group_presentation_relators_pinned():
         assert (count, digest.hexdigest()) == pinned, f"q={q}"
 
 
+def tp_pin_presentations(q):
+    """Each class representative, its twists and, for q <= 5, its relabelings.
+
+    The relabelings j -> r*j + 1 and the generator inverse are where the
+    `.tp` header has a scale other than 1.
+    """
+    for cls in enumerate_all_invariant(build_plane(q)):
+        rep = cls.representative
+        yield rep
+        yield twist_multiplier(rep, 1)
+        yield twist_multiplier(rep, 2)
+        if q % 3 == 1:
+            yield from twist_translation(rep)
+        if q <= 5:
+            yield from (relabel(rep, r, 1) for r in range(1, rep.n) if gcd(r, rep.n) == 1)
+            yield invert_generators(rep)
+
+
+# sha256 of the concatenated `presentation_to_text` of tp_pin_presentations(q):
+# (presentations, digest)
+PINNED_TP_TEXT = {
+    2: (20, "4c8b29942f06f5bc6dd4f2b06480ac3817e17d5350016b8d3b6e459102fc70fb"),
+    3: (32, "ec89e4ab58fd949308798287319fec3f09043dead785c8f70e372abbb3c7120a"),
+    4: (72, "ab86b9efcfcca20e9e29b220635e3429a0c7fca20b8be4fb6c55712595386f80"),
+    5: (136, "fdb5d4148116bf21a44047b1bf2f8314a46ae528e8eed84bab2195a152914871"),
+    7: (60, "ed688edd1b66689dfa12ddd7b028b42de6a782c50aba833b5012ef94851fc898"),
+    8: (12, "38f5755e7fd1a1fd12c3c46ca09b2fd77a6f424af093996f4fff6032d079d5ef"),
+    9: (18, "444a4f67cc2f4d0c0e06fd1d4fe0d1adb71d110639d32407c3494801595a2520"),
+    11: (48, "1845fddeb0f311e9322a378eacf8d6378938542fc76a1e30089641756f8f1109"),
+    13: (240, "63ae9c34d215b80bba0026e0ea05470f947e212e5583eb2353df7f8f2df36381"),
+}
+
+
+def test_presentation_text_pinned():
+    assert sorted(PINNED_TP_TEXT) == sorted(SUPPORTED_Q)
+    for q in SUPPORTED_Q:
+        digest = hashlib.sha256()
+        count = 0
+        for p in tp_pin_presentations(q):
+            digest.update(presentation_to_text(p).encode())
+            count += 1
+        assert (count, digest.hexdigest()) == PINNED_TP_TEXT[q], f"q={q}"
+
+
 def test_rotation_fixed_triples_q3():
     # sigma(0) = 0 contributes the 13 one-element rotation classes x_i^3
     p = enumerate_invariant(build_plane(3), 0)[0]
