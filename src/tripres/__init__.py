@@ -29,7 +29,6 @@ from .gf import (
 )
 from .plane import SingerPlane, build_plane, check_difference_set
 from .presentations import (
-    Correspondence,
     GroupPresentation,
     InvariantClass,
     SigmaCycle,
@@ -37,6 +36,7 @@ from .presentations import (
     canonical_form,
     check_axioms,
     classify_central_forms,
+    correspondence,
     enumerate_all_invariant,
     enumerate_invariant,
     enumerate_sigma_cycles,

@@ -4,21 +4,20 @@ A triangle presentation is a set T of ordered point triples with
 
   (A) rotation closure:  (x,y,z) in T  =>  (y,z,x) in T;
   (B) existence:  a pair (x,y) extends to a triple iff y lies on the line
-      attached to x by the point-line correspondence;
+      lambda(x) attached to x by a point-line bijection lambda;
   (C) uniqueness:  the extension z of (x,y) is unique;
 
 so |T| = N(q+1), one triple per incident pair.  The attached group is
 Gamma = <x_0..x_{N-1} | x_a x_b x_c = 1 for (a,b,c) in T>.
 
-Correspondences here are affine in the Singer labeling: x is sent to the
-line with index a*x + b, and the incidence test may run against a scaled
-copy r0*D of the difference set.  In-scope constructions always have
-r0 = 1 and a in {1, q, q^2}; the scale only moves off 1 when a presentation
-is relabeled by a unit that is not a multiplier of D, which keeps the
-axioms checkable for every affine image.
+T fixes lambda: lambda(x) is the out-set {y : (x,y,z) in T}, so nothing
+else is stored.  When lambda is affine in the Singer labeling,
+lambda(x) = scale*D + a*x + b, `correspondence` derives (a, b, scale) and
+the `.tp` header records it; the scale moves off 1 only when a presentation
+is relabeled by a unit that is not a multiplier of D.
 
 Cyclically invariant presentations (invariant under j -> j+1 on all three
-coordinates) reduce to difference data: with correspondence (1, b) the
+coordinates) reduce to difference data: with lambda(x) = D + b + x the
 admissible first differences form Dt = D + b, axiom (C) makes the second
 difference a function s of the first, and rotation closure forces
 s^3 = id with u + s(u) + s^2(u) = 0 (mod N).  Enumeration searches over
@@ -32,6 +31,7 @@ import hashlib
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from math import gcd
 
 from .gf import SUPPORTED_Q, prime_power
@@ -42,15 +42,6 @@ Triple = tuple[int, int, int]
 
 # ---------------------------------------------------------------------------
 # Data types
-
-
-@dataclass(frozen=True)
-class Correspondence:
-    """x -> line(multiplier * x + shift), tested against plane_scale * D."""
-
-    multiplier: int
-    shift: int
-    plane_scale: int = 1
 
 
 @dataclass(frozen=True)
@@ -110,7 +101,6 @@ class SigmaCycle:
 class TrianglePresentation:
     q: int
     n: int
-    corr: Correspondence
     triples: frozenset[Triple]
 
     def rotation_classes(self) -> tuple[Triple, ...]:
@@ -133,10 +123,7 @@ class TrianglePresentation:
         return tuple(sorted(reps))
 
     def __repr__(self) -> str:
-        return (
-            f"TrianglePresentation(q={self.q}, N={self.n}, a={self.corr.multiplier}, "
-            f"b={self.corr.shift}, scale={self.corr.plane_scale}, |T|={len(self.triples)})"
-        )
+        return f"TrianglePresentation(q={self.q}, N={self.n}, |T|={len(self.triples)})"
 
 
 @dataclass(frozen=True)
@@ -151,15 +138,14 @@ class GroupPresentation:
 # Axioms
 
 
-def _pair_condition_set(p: TrianglePresentation) -> frozenset[int]:
-    plane = build_plane(p.q)
-    r0 = p.corr.plane_scale
-    return frozenset((r0 * d) % p.n for d in plane.difference_set)
-
-
 def check_axioms(p: TrianglePresentation) -> list[str]:
-    """Empty list iff the triangle presentation axioms hold."""
-    n = p.n
+    """Empty list iff the axioms hold for the plane whose lines are the out-sets.
+
+    (B) asks that each out-set have q+1 points and that no two points lie in
+    two out-sets; with |T| = N(q+1) the out-sets then cover each pair of
+    points once, so they are the lines of a projective plane.
+    """
+    n, q = p.n, p.q
     viol: list[str] = []
     for t in p.triples:
         if any(not (0 <= c < n) for c in t):
@@ -180,23 +166,18 @@ def check_axioms(p: TrianglePresentation) -> list[str]:
             break
         ext[k] = z
 
-    a, b = p.corr.multiplier, p.corr.shift
-    dset = _pair_condition_set(p)
-    expected = set()
-    for x in range(n):
-        base = (a * x + b) % n
-        for d in dset:
-            expected.add((x, (base + d) % n))
-    actual = set(ext)
-    missing = expected - actual
-    extra = actual - expected
-    if missing:
-        viol.append(f"existence: {len(missing)} incident pairs unextended, e.g. {min(missing)}")
-    if extra:
-        viol.append(f"existence: {len(extra)} non-incident pairs extended, e.g. {min(extra)}")
+    lines: dict[int, list[int]] = {}
+    for x, y in ext:
+        lines.setdefault(x, []).append(y)
+    wrong = [x for x in range(n) if len(lines.get(x, ())) != q + 1]
+    if wrong:
+        viol.append(f"existence: {len(wrong)} out-sets do not have {q + 1} points, e.g. lambda({wrong[0]})")
+    pairs = [y * n + w for ys in lines.values() for y, w in combinations(sorted(ys), 2)]
+    if len(set(pairs)) != len(pairs):
+        viol.append(f"existence: {len(pairs) - len(set(pairs))} repeats of a point pair in the out-sets")
 
-    if len(p.triples) != n * (p.q + 1):
-        viol.append(f"cardinality: |T| = {len(p.triples)}, expected {n * (p.q + 1)}")
+    if len(p.triples) != n * (q + 1):
+        viol.append(f"cardinality: |T| = {len(p.triples)}, expected {n * (q + 1)}")
     return viol
 
 
@@ -261,6 +242,7 @@ def enumerate_sigma_cycles(n: int, domain) -> list[SigmaCycle]:
 def presentation_from_sigma(
     plane: SingerPlane, b: int, sigma: SigmaCycle
 ) -> TrianglePresentation:
+    """The invariant presentation of `sigma`, a cycle on the differences D + b."""
     n = plane.n_points
     table = sigma.as_dict()
     triples = frozenset(
@@ -268,13 +250,11 @@ def presentation_from_sigma(
         for i in range(n)
         for u in sigma.domain
     )
-    return TrianglePresentation(
-        q=plane.q, n=n, corr=Correspondence(1, b % n, 1), triples=triples
-    )
+    return TrianglePresentation(q=plane.q, n=n, triples=triples)
 
 
 def enumerate_invariant(plane: SingerPlane, b: int) -> list[TrianglePresentation]:
-    """All cyclically invariant presentations with correspondence (1, b)."""
+    """All cyclically invariant presentations with lambda(x) = D + b + x."""
     domain = admissible_differences(plane, b)
     return [
         presentation_from_sigma(plane, b, s)
@@ -314,27 +294,13 @@ def relabel(p: TrianglePresentation, r: int, s: int) -> TrianglePresentation:
     triples = frozenset(
         ((r * x + s) % n, (r * y + s) % n, (r * z + s) % n) for x, y, z in p.triples
     )
-    a, b, r0 = p.corr.multiplier, p.corr.shift, p.corr.plane_scale
-    corr = Correspondence(
-        multiplier=a,
-        shift=(r * b + s * (1 - a)) % n,
-        plane_scale=_normalize_scale(p.q, n, (r * r0) % n),
-    )
-    return TrianglePresentation(q=p.q, n=n, corr=corr, triples=triples)
+    return TrianglePresentation(q=p.q, n=n, triples=triples)
 
 
 def invert_generators(p: TrianglePresentation) -> TrianglePresentation:
     """Pass to inverse generators, reversing every triple."""
-    n = p.n
     triples = frozenset((z, y, x) for x, y, z in p.triples)
-    a, b, r0 = p.corr.multiplier, p.corr.shift, p.corr.plane_scale
-    a_inv = pow(a, -1, n)
-    corr = Correspondence(
-        multiplier=a_inv,
-        shift=(-a_inv * b) % n,
-        plane_scale=_normalize_scale(p.q, n, (-a_inv * r0) % n),
-    )
-    return TrianglePresentation(q=p.q, n=n, corr=corr, triples=triples)
+    return TrianglePresentation(q=p.q, n=p.n, triples=triples)
 
 
 def twist_multiplier(p: TrianglePresentation, power: int = 1) -> TrianglePresentation:
@@ -351,12 +317,7 @@ def twist_multiplier(p: TrianglePresentation, power: int = 1) -> TrianglePresent
     m = pow(p.q, power, n)
     m2 = (m * m) % n
     triples = frozenset((x, (m * y) % n, (m2 * z) % n) for x, y, z in p.triples)
-    corr = Correspondence(
-        multiplier=(p.corr.multiplier * m) % n,
-        shift=(p.corr.shift * m) % n,
-        plane_scale=p.corr.plane_scale,
-    )
-    return TrianglePresentation(q=p.q, n=n, corr=corr, triples=triples)
+    return TrianglePresentation(q=p.q, n=n, triples=triples)
 
 
 def twist_translation(
@@ -365,8 +326,8 @@ def twist_translation(
     """For q = 1 mod 3: shift middle/last coordinates by N/3 and 2N/3.
 
     Returns the two twisted presentations (B, C); both are cyclically
-    invariant and axiom-valid, with the correspondence shift raised by N/3
-    (resp. 2N/3).  Neither presents the same group as the input in general.
+    invariant and axiom-valid, with lambda shifted by N/3 (resp. 2N/3).
+    Neither presents the same group as the input in general.
     """
     if p.q % 3 != 1:
         raise ValueError(f"translation twist needs q = 1 mod 3, got q={p.q}")
@@ -374,18 +335,12 @@ def twist_translation(
         raise ValueError("translation twist needs a cyclically invariant presentation")
     n = p.n
     t = n // 3
-    a, b, r0 = p.corr.multiplier, p.corr.shift, p.corr.plane_scale
 
     def shifted(k1: int, k2: int) -> TrianglePresentation:
         triples = frozenset(
             (x, (y + k1) % n, (z + k2) % n) for x, y, z in p.triples
         )
-        return TrianglePresentation(
-            q=p.q,
-            n=n,
-            corr=Correspondence(a, (b + k1) % n, r0),
-            triples=triples,
-        )
+        return TrianglePresentation(q=p.q, n=n, triples=triples)
 
     return shifted(t, 2 * t), shifted(2 * t, t)
 
@@ -550,16 +505,63 @@ def read_int(text: str) -> int:
     return int(text)
 
 
+def _translate_form(points, n: int) -> tuple[tuple[int, ...], int]:
+    """(form, t) with points = form + t, form the lex-least translate holding 0."""
+    return min(((tuple(sorted((y - t) % n for y in points)), t) for t in points), default=((), 0))
+
+
+@lru_cache(maxsize=None)
+def _scaled_forms(q: int, n: int) -> dict[tuple[int, ...], tuple[int, int]]:
+    """Translate form of s*D -> (s, t with s*D = form + t), per normalized scale s.
+
+    Only the powers of p map D onto a translate of itself, so the forms
+    are distinct.
+    """
+    dset = build_plane(q).difference_set
+    return {
+        form: (s, t)
+        for s in _units(n)
+        if s == _normalize_scale(q, n, s)
+        for form, t in [_translate_form([(s * d) % n for d in dset], n)]
+    }
+
+
+def correspondence(p: TrianglePresentation) -> tuple[int, int, int] | None:
+    """(a, b, scale) with lambda(x) = scale*D + a*x + b for all x, or None if T has none.
+
+    The scale is normalized as `_normalize_scale` does.
+    """
+    n = p.n
+    lines: dict[int, set[int]] = {}
+    for x, y, _ in p.triples:
+        lines.setdefault(x, set()).add(y)
+    line0 = lines.get(0, ())
+    form, t0 = _translate_form(line0, n)
+    form1, t1 = _translate_form(lines.get(1, ()), n)
+    a = (t1 - t0) % n
+    hit = _scaled_forms(p.q, n).get(form)
+    if hit is None or form1 != form or len(lines) != n or any(
+        lines.get(x) != {(y + a * x) % n for y in line0} for x in range(2, n)
+    ):
+        return None
+    scale, ts = hit
+    return a, (t0 - ts) % n, scale
+
+
 def presentation_to_text(p: TrianglePresentation, note: str = "") -> str:
+    derived = correspondence(p)
+    if derived is None:
+        raise ValueError("no affine point-line map to write: the header needs scale*D + a*x + b")
+    a, b, scale = derived
     lines = []
     if note:
         lines.append(f"# {note}")
     lines.append(f"q={p.q}")
     lines.append(f"N={p.n}")
-    lines.append(f"a={p.corr.multiplier}")
-    lines.append(f"b={p.corr.shift}")
-    if p.corr.plane_scale != 1:
-        lines.append(f"scale={p.corr.plane_scale}")
+    lines.append(f"a={a}")
+    lines.append(f"b={b}")
+    if scale != 1:
+        lines.append(f"scale={scale}")
     for x, y, z in p.rotation_classes():
         lines.append(f"{x} {y} {z}")
     return "\n".join(lines) + "\n"
@@ -615,9 +617,13 @@ def presentation_from_text(text: str) -> TrianglePresentation:
         if not all(0 <= v < n for v in (x, y, z)):
             raise PresentationFormatError(f"line {ln}: triple entry not in 0..{n - 1}: {x} {y} {z}")
         triples.update({(x, y, z), (y, z, x), (z, x, y)})
-    return TrianglePresentation(
-        q=q,
-        n=n,
-        corr=Correspondence(header["a"], header["b"], scale),
-        triples=frozenset(triples),
-    )
+    p = TrianglePresentation(q=q, n=n, triples=frozenset(triples))
+    violations = check_axioms(p)
+    if violations:
+        raise PresentationFormatError("not a triangle presentation: " + "; ".join(violations))
+    derived = correspondence(p)
+    if derived != (header["a"], header["b"], _normalize_scale(q, n, scale)):
+        found = "a={} b={} scale={}".format(*derived) if derived else "no affine map"
+        given = f"a={header['a']} b={header['b']} scale={scale}"
+        raise PresentationFormatError(f"header {given} does not match the triples' point-line map: {found}")
+    return p

@@ -27,7 +27,6 @@ from tripres.catalog import invariant_catalog
 from tripres.gf import SUPPORTED_Q
 from tripres.plane import build_plane, check_difference_set
 from tripres.presentations import (
-    Correspondence,
     TrianglePresentation,
     admissible_differences,
     check_axioms,
@@ -147,9 +146,7 @@ def test_criterion_3_oracle_equivalence_q2():
             triples = frozenset(
                 (i, (i + u) % n, (i + u + v[u]) % n) for i in range(n) for u in dt
             )
-            p = TrianglePresentation(
-                q=2, n=n, corr=Correspondence(1, b), triples=triples
-            )
+            p = TrianglePresentation(q=2, n=n, triples=triples)
             if not check_axioms(p) and is_singer_invariant(p):
                 brute.add(triples)
         quick = {p.triples for p in enumerate_invariant(plane, b)}

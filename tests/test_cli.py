@@ -222,6 +222,43 @@ def test_malformed_presentation_line(capsys, tmp_path, old, new, message):
     assert message in err
 
 
+def test_header_must_match_the_triples(capsys, tmp_path):
+    bad = tmp_path / "bad.tp"
+    bad.write_text(Q2_CLASS0.replace("b=0", "b=3"))
+    code, out, err = run(capsys, "abelianize", "--in", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "header a=1 b=3" in err and "a=1 b=0" in err
+
+
+def test_header_scale_is_read_up_to_powers_of_p(capsys, tmp_path):
+    # 2*D = D at q=2, so scale=2 names the same map as no scale line; the
+    # twist's header is derived from its triples and so has no scale line
+    scaled = tmp_path / "scaled.tp"
+    scaled.write_text(Q2_CLASS0.replace("b=0", "b=0\nscale=2"))
+    code, out, _ = run(capsys, "abelianize", "--in", str(scaled))
+    assert code == 0 and out.strip().endswith("[(3)2,3]")
+    twisted = tmp_path / "tw.tp"
+    code, _, _ = run(capsys, "twist", "--in", str(scaled), "--kind", "q", "--out", str(twisted))
+    assert code == 0
+    assert twisted.read_text().splitlines()[1:5] == ["q=2", "N=7", "a=2", "b=0"]
+    assert "scale=" not in twisted.read_text()
+
+
+def test_presentation_file_axioms_are_checked_once(capsys, tmp_path, monkeypatch):
+    import tripres.presentations as presentations
+
+    calls = []
+    check = presentations.check_axioms
+    monkeypatch.setattr(presentations, "check_axioms", lambda p: calls.append(p) or check(p))
+    good = tmp_path / "good.tp"
+    good.write_text(Q2_CLASS0)
+    code, _, _ = run(capsys, "abelianize", "--in", str(good))
+    assert code == 0
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize(
     "old, new, message",
     [
@@ -440,6 +477,31 @@ def test_directory_argument_is_an_input_error(capsys, tmp_path, argv):
     code, _, err = run(capsys, *(a.format(dir=tmp_path) for a in argv))
     assert code == 2
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, metavar",
+    [
+        (("enumerate", "--q", "2", "--all", "--out-dir", ""), "OUT_DIR"),
+        (("enumerate", "--q", "2", "--all", "--labels", ""), "LABELS"),
+        (("verify", "--q", "2", "--labels", ""), "LABELS"),
+        (("verify", "--q", "2", "--data", ""), "DATA"),
+        (("twist", "--in", "{tp}", "--kind", "q", "--out", ""), "OUT"),
+        (("abelianize", "--in", ""), "INFILE"),
+    ],
+    ids=["enumerate-out-dir", "enumerate-labels", "verify-labels", "verify-data", "twist-out", "abelianize-in"],
+)
+def test_empty_path_argument_is_an_input_error(capsys, tmp_path, monkeypatch, argv, metavar):
+    tp = tmp_path / "q2.tp"
+    tp.write_text(Q2_CLASS0)
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    code, out, err = run(capsys, *(a.format(tp=tp) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {metavar} is an empty path\n"
+    assert list(work.iterdir()) == []
 
 
 class _ClosedPipe(io.TextIOBase):

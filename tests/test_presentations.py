@@ -8,13 +8,13 @@ from tripres.abelian import abelianization
 from tripres.gf import SUPPORTED_Q
 from tripres.plane import build_plane
 from tripres.presentations import (
-    Correspondence,
     SigmaCycle,
     TrianglePresentation,
     admissible_differences,
     canonical_form,
     check_axioms,
     classify_central_forms,
+    correspondence,
     enumerate_all_invariant,
     enumerate_invariant,
     enumerate_sigma_cycles,
@@ -38,9 +38,7 @@ def fano_presentation():
     for i in range(7):
         t = (i, (i + 1) % 7, (i + 3) % 7)
         triples.update({t, (t[1], t[2], t[0]), (t[2], t[0], t[1])})
-    return TrianglePresentation(
-        q=2, n=7, corr=Correspondence(1, 0), triples=frozenset(triples)
-    )
+    return TrianglePresentation(q=2, n=7, triples=frozenset(triples))
 
 
 def test_fano_presentation_valid():
@@ -51,7 +49,7 @@ def test_fano_presentation_valid():
 
 
 def test_empty_triple_set_violates_existence():
-    p = TrianglePresentation(q=2, n=7, corr=Correspondence(1, 0), triples=frozenset())
+    p = TrianglePresentation(q=2, n=7, triples=frozenset())
     viol = check_axioms(p)
     assert any(v.startswith("existence") for v in viol)
 
@@ -59,8 +57,29 @@ def test_empty_triple_set_violates_existence():
 def test_duplicate_pair_violates_uniqueness():
     p = fano_presentation()
     extra = frozenset(p.triples | {(0, 1, 5), (1, 5, 0), (5, 0, 1)})
-    bad = TrianglePresentation(q=2, n=7, corr=Correspondence(1, 0), triples=extra)
+    bad = TrianglePresentation(q=2, n=7, triples=extra)
     assert any(v.startswith("uniqueness") for v in check_axioms(bad))
+
+
+def test_non_affine_presentation_q2():
+    # lambda(x) = D + pi(x) with pi swapping 5 and 6: no x -> scale*D + a*x + b fits
+    reps = [(0, 1, 5), (0, 2, 3), (0, 4, 6), (1, 2, 4), (1, 3, 5), (2, 6, 6), (3, 4, 5)]
+    triples = frozenset(r for x, y, z in reps for r in ((x, y, z), (y, z, x), (z, x, y)))
+    p = TrianglePresentation(q=2, n=7, triples=triples)
+    assert check_axioms(p) == []
+    assert correspondence(p) is None
+    with pytest.raises(ValueError, match="no affine point-line map to write"):
+        presentation_to_text(p)
+    assert str(abelianization(group_presentation(p))) == "[(2)2,3]"
+
+
+def test_scaled_copies_of_d_are_distinct_up_to_translation():
+    from tripres.presentations import _normalize_scale, _scaled_forms, _units
+
+    for q in SUPPORTED_Q:
+        n = q * q + q + 1
+        scales = {_normalize_scale(q, n, s) for s in _units(n)}
+        assert sorted(s for s, _ in _scaled_forms(q, n).values()) == sorted(scales), f"q={q}"
 
 
 def test_sigma_cycle_validation():
@@ -111,9 +130,7 @@ def brute_force_invariant(plane, b):
         triples = frozenset(
             (i, (i + u) % n, (i + u + v[u]) % n) for i in range(n) for u in dt
         )
-        p = TrianglePresentation(
-            q=plane.q, n=n, corr=Correspondence(1, b), triples=triples
-        )
+        p = TrianglePresentation(q=plane.q, n=n, triples=triples)
         if not check_axioms(p) and is_singer_invariant(p):
             found.append(triples)
     return sorted(found, key=sorted)
@@ -197,7 +214,7 @@ def test_canonical_form_matches_full_scan():
             for r in range(2, n):
                 if gcd(r, n) == 1:
                     moved = relabel(rep, r, 1)
-                    if moved.corr.plane_scale != 1:
+                    if correspondence(moved)[2] != 1:
                         assert canonical_form(moved) == want, f"q={q} r={r} {rep}"
     with pytest.raises(ValueError):
         canonical_form(twist_multiplier(fano_presentation(), 1))
@@ -238,7 +255,7 @@ def test_relabel_by_3_moves_difference_data_q2():
     moved = relabel(p, 3, 0)
     diffs = {(y - x) % 7 for x, y, _ in moved.triples}
     assert diffs == {3, 6, 5}
-    assert moved.corr.plane_scale == 3
+    assert correspondence(moved)[2] == 3
     assert check_axioms(moved) == []
 
 
@@ -262,12 +279,7 @@ def test_abelianization_preserved_by_inversion_q3():
 
 
 def test_twist_requires_fixed_presentation():
-    partial = TrianglePresentation(
-        q=2,
-        n=7,
-        corr=Correspondence(1, 0),
-        triples=frozenset({(0, 1, 3), (1, 3, 0), (3, 0, 1)}),
-    )
+    partial = TrianglePresentation(q=2, n=7, triples=frozenset({(0, 1, 3), (1, 3, 0), (3, 0, 1)}))
     with pytest.raises(ValueError):
         twist_multiplier(partial, 1)
     # twists of a fixed presentation stay fixed, so the chain never breaks
@@ -283,7 +295,7 @@ def test_twist_multiplier_q2():
     assert not is_singer_invariant(t1)
     got = {str(abelianization(group_presentation(t))) for t in (t1, t2)}
     assert got == {"[2,3,7]", "[2,3]"}
-    assert t1.corr.multiplier == 2 and t1.corr.shift == 0
+    assert correspondence(t1)[:2] == (2, 0)
 
 
 def test_twist_multiplier_q3_pair():
@@ -317,8 +329,9 @@ def test_twist_translation_q4():
         assert check_axioms(t) == []
         assert is_singer_invariant(t)
         assert str(abelianization(group_presentation(t))) == "[(2)3]"
-    assert b.corr.shift == (regular.corr.shift + 7) % 21
-    assert cpres.corr.shift == (regular.corr.shift + 14) % 21
+    shift = correspondence(regular)[1]
+    assert correspondence(b)[1] == (shift + 7) % 21
+    assert correspondence(cpres)[1] == (shift + 14) % 21
 
 
 def test_twist_translation_rejects_bad_q():
@@ -463,6 +476,9 @@ def test_text_round_trip():
     assert back == p
     t1 = twist_multiplier(p, 1)
     assert presentation_from_text(presentation_to_text(t1)) == t1
+    moved = relabel(p, 3, 0)
+    assert "scale=3" in presentation_to_text(moved)
+    assert presentation_from_text(presentation_to_text(moved)) == moved
 
 
 def test_text_rejects_garbage():
