@@ -42,11 +42,19 @@ def _header(q: int | None = None) -> str:
     return "\n".join(parts)
 
 
+def _read_text(path: str) -> str:
+    """The input file at `path`, decoded as UTF-8 whatever the locale says."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise ValueError(f"{path} is not UTF-8 text: {err.reason} at byte {err.start}") from None
+
+
 def _load_labels(path: str | None) -> dict[str, str]:
     if not path:
         return {}
     labels = {}
-    for number, raw in enumerate(Path(path).read_text().splitlines(), 1):
+    for number, raw in enumerate(_read_text(path).splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -123,7 +131,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_twist(args) -> int:
-    p = presentation_from_text(Path(args.infile).read_text())
+    p = presentation_from_text(_read_text(args.infile))
     if args.kind == "q":
         result = twist_multiplier(p, 1)
     elif args.kind == "q2":
@@ -161,7 +169,7 @@ def _letter(idx: int, n: int) -> str:
 
 
 def cmd_present(args) -> int:
-    p = presentation_from_text(Path(args.infile).read_text())
+    p = presentation_from_text(_read_text(args.infile))
     if args.extended:
         gp = extended_presentation(p, _phi_from_spec(p, args.extended))
     else:
@@ -174,7 +182,7 @@ def cmd_present(args) -> int:
 
 
 def cmd_abelianize(args) -> int:
-    p = presentation_from_text(Path(args.infile).read_text())
+    p = presentation_from_text(_read_text(args.infile))
     print(_header(p.q))
     print(str(abelianization(group_presentation(p))))
     return 0

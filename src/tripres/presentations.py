@@ -29,8 +29,10 @@ from __future__ import annotations
 
 import hashlib
 import re
+from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from math import gcd
 
@@ -372,17 +374,36 @@ def classify_central_forms(p: TrianglePresentation) -> frozenset[str]:
 # Equivalence
 
 
+def _canonical_triples(n: int, block) -> tuple[Triple, ...]:
+    """Canonical form of the invariant set whose x=0 block is `block`, pairs (y, z).
+
+    The scaled copies j -> r*j of an invariant set are invariant, with x=0
+    block r*block, and each heads its sorted triple list with that block;
+    all blocks have the same size, so the copies compare the way their
+    sorted blocks do.  Only q+1 pairs are sorted per unit.  The winning
+    block, shifted by x, is the x-block of its set: its y order is the
+    block's own, rotated to start at the first y that wraps past N.
+    """
+    best = min(sorted(((r * y) % n, (r * z) % n) for y, z in block) for r in _units(n))
+    ys = [y for y, _ in best]
+    out = []
+    for x in range(n):
+        k = bisect_left(ys, n - x)
+        out += [(x, (y + x) % n, (z + x) % n) for y, z in best[k:] + best[:k]]
+    return tuple(out)
+
+
 def canonical_form(p: TrianglePresentation) -> tuple[Triple, ...]:
     """Lex-least sorted triple list over all affine relabelings j -> r*j + s.
 
     Defined for cyclically invariant presentations only; any other input
     raises ValueError.  Translations fix an invariant triple set, so only
-    the scalings j -> r*j by units r need to be scanned, and each scaled
-    copy is invariant again.  An invariant set is determined by its x=0
-    block {(0, y, z)}, which also heads its sorted triple list; all scaled
-    copies have blocks of the same size, so two of them compare the way
-    their sorted x=0 blocks do.  The scan therefore sorts q+1 pairs per
-    unit and builds the full sorted list once, for the winning unit.
+    the scalings j -> r*j by units r need to be scanned, and an invariant
+    set is determined by its x=0 block {(0, y, z)}: the form is built from
+    that block alone (see `_canonical_triples`).  The catalog names its
+    classes the same way straight from their difference data, so the
+    library never calls this; the tests keep it as the oracle for those
+    names.
 
     Generator inversion is deliberately *not* part of the reduction group:
     an invariant presentation and its inverse define distinct catalog
@@ -390,16 +411,26 @@ def canonical_form(p: TrianglePresentation) -> tuple[Triple, ...]:
     """
     if not is_singer_invariant(p):
         raise ValueError("canonical form is defined for cyclically invariant presentations")
-    n = p.n
-    block = [(y, z) for x, y, z in p.triples if x == 0]
-    r = min(_units(n), key=lambda r: sorted(((r * y) % n, (r * z) % n) for y, z in block))
-    return tuple(sorted(((r * x) % n, (r * y) % n, (r * z) % n) for x, y, z in p.triples))
+    return _canonical_triples(p.n, [(y, z) for x, y, z in p.triples if x == 0])
+
+
+# decimal text of the residues 0..N-1 of every supported q
+_DECIMALS = tuple(map(str, range(max(q * q + q + 1 for q in SUPPORTED_Q))))
 
 
 def key_digest(form) -> str:
-    """Short stable digest of a canonical triple list, used in label files."""
-    blob = ";".join(map("%d,%d,%d".__mod__, form)).encode()
-    return hashlib.sha256(blob).hexdigest()[:12]
+    """Short stable digest of a canonical triple list, used in label files.
+
+    It hashes the triples as `x,y,z` joined by `;`.  The entries are
+    residues mod N, as `canonical_form` gives them; their text is looked
+    up, not formatted, unless one lies past the largest supported N.
+    """
+    dec = _DECIMALS
+    try:
+        text = ";".join([f"{dec[x]},{dec[y]},{dec[z]}" for x, y, z in form])
+    except IndexError:
+        text = ";".join(map("%d,%d,%d".__mod__, form))
+    return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
 def _orbit_key(q: int, n: int, b: int, sigma: SigmaCycle):
@@ -419,17 +450,35 @@ def _orbit_key(q: int, n: int, b: int, sigma: SigmaCycle):
 
 @dataclass(frozen=True)
 class InvariantClass:
+    """One class of invariant presentations under affine relabeling.
+
+    The class is held as its difference data: `members` lists every
+    (b, sigma) in it, and `key_digest` is computed from the first of them
+    without building a triple set.  `representative`, the presentation of
+    that first member, is built on first use.
+    """
+
+    q: int
     index: int
     members: tuple[tuple[int, SigmaCycle], ...]
-    representative: TrianglePresentation
     key_digest: str
     """`key_digest` of the representative's canonical form."""
     inverse_index: int
     """Index of the class presenting the generator-inverse group."""
 
+    @cached_property
+    def representative(self) -> TrianglePresentation:
+        return presentation_from_sigma(build_plane(self.q), *self.members[0])
+
 
 def enumerate_all_invariant(plane: SingerPlane) -> list[InvariantClass]:
-    """All invariant presentations over every shift b, up to affine relabeling."""
+    """All invariant presentations over every shift b, up to affine relabeling.
+
+    Each class is named from its first member (b0, sigma0) alone: the x=0
+    block of `presentation_from_sigma(plane, b0, sigma0)` is
+    {(u, u + sigma0(u)) : u in D + b0}, and `_canonical_triples` expands
+    the canonical form from it.  No triple set is built here.
+    """
     n, q = plane.n_points, plane.q
     groups: dict = {}
     for b in range(n):
@@ -441,14 +490,14 @@ def enumerate_all_invariant(plane: SingerPlane) -> list[InvariantClass]:
     for i, key in enumerate(groups):
         members = tuple(groups[key])
         b0, sigma0 = members[0]
-        rep = presentation_from_sigma(plane, b0, sigma0)
+        block = [(u, (u + v) % n) for u, v in zip(sigma0.domain, sigma0.images)]
         inv_key = _orbit_key(q, n, b0, sigma0.inverse())
         classes.append(
             InvariantClass(
+                q=q,
                 index=i,
                 members=members,
-                representative=rep,
-                key_digest=key_digest(canonical_form(rep)),
+                key_digest=key_digest(_canonical_triples(n, block)),
                 inverse_index=index_of[inv_key],
             )
         )
@@ -531,15 +580,19 @@ def correspondence(p: TrianglePresentation) -> tuple[int, int, int] | None:
 
     The scale is normalized as `_normalize_scale` does.
     """
-    n = p.n
     lines: dict[int, set[int]] = {}
     for x, y, _ in p.triples:
         lines.setdefault(x, set()).add(y)
+    return _affine_map(p.q, p.n, lines)
+
+
+def _affine_map(q: int, n: int, lines: dict[int, set[int]]) -> tuple[int, int, int] | None:
+    """`correspondence` of the out-sets `lines`, x -> lambda(x)."""
     line0 = lines.get(0, ())
     form, t0 = _translate_form(line0, n)
     form1, t1 = _translate_form(lines.get(1, ()), n)
     a = (t1 - t0) % n
-    hit = _scaled_forms(p.q, n).get(form)
+    hit = _scaled_forms(q, n).get(form)
     if hit is None or form1 != form or len(lines) != n or any(
         lines.get(x) != {(y + a * x) % n for y in line0} for x in range(2, n)
     ):
@@ -549,7 +602,20 @@ def correspondence(p: TrianglePresentation) -> tuple[int, int, int] | None:
 
 
 def presentation_to_text(p: TrianglePresentation, note: str = "") -> str:
-    derived = correspondence(p)
+    """The `.tp` text: header lines, then one `x y z` line per rotation class.
+
+    The header's point-line map is read from the rotation classes written,
+    each standing for its three rotations, so T is walked once.  For a
+    rotation-closed T, as every presentation is, this is `correspondence(p)`;
+    in general it is the map of the set the text describes.
+    """
+    reps = p.rotation_classes()
+    out_sets: defaultdict[int, set[int]] = defaultdict(set)
+    for x, y, z in reps:
+        out_sets[x].add(y)
+        out_sets[y].add(z)
+        out_sets[z].add(x)
+    derived = _affine_map(p.q, p.n, out_sets)
     if derived is None:
         raise ValueError("no affine point-line map to write: the header needs scale*D + a*x + b")
     a, b, scale = derived
@@ -562,7 +628,7 @@ def presentation_to_text(p: TrianglePresentation, note: str = "") -> str:
     lines.append(f"b={b}")
     if scale != 1:
         lines.append(f"scale={scale}")
-    for x, y, z in p.rotation_classes():
+    for x, y, z in reps:
         lines.append(f"{x} {y} {z}")
     return "\n".join(lines) + "\n"
 

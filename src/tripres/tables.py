@@ -141,8 +141,11 @@ def load_dataset(path=None) -> Dataset:
     if path is None:
         text = _bundled_text()
     else:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as err:
+            raise ValueError(f"{path} is not UTF-8 text: {err.reason} at byte {err.start}") from None
     rows: list[PaperRow] = []
     seen: set[tuple[int, str]] = set()
     for ln, raw in enumerate(text.splitlines(), start=1):

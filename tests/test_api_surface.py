@@ -11,8 +11,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 CALLER_DIRS = ("src", "demos", "perfbench")
 
-#: kept for the tests, which check canonical_form and snf against them
-ORACLES = {"relabel", "invert_generators", "determinant"}
+#: kept for the tests, which check canonical_form and snf against the
+#: first three, and the catalog's key digests against canonical_form
+ORACLES = {"relabel", "invert_generators", "determinant", "canonical_form"}
 
 
 def _public_definitions():

@@ -15,15 +15,18 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
-def run_module(*argv):
-    """`python -m tripres ARGV` in a fresh interpreter, with this tree's src first."""
+def run_module(*argv, env=None):
+    """`python -m tripres ARGV` in a fresh interpreter, with this tree's src first.
+
+    `env` holds extra environment variables; the output is read as UTF-8.
+    """
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     return subprocess.run(
         [sys.executable, "-m", "tripres", *argv],
         capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=path),
+        encoding="utf-8",
+        env=dict(os.environ, PYTHONPATH=path, **(env or {})),
         timeout=60,
     )
 
@@ -384,6 +387,37 @@ def test_labels_file(capsys, tmp_path):
     code, out, _ = run(capsys, "verify", "--q", "2", "--labels", str(labels))
     assert code == 0
     assert "match A.1: A.1 " in out
+
+
+def test_labels_are_read_as_utf8_under_a_c_locale(tmp_path):
+    from tripres.catalog import invariant_catalog
+
+    labels = tmp_path / "labels.txt"
+    labels.write_text(f"{invariant_catalog(2)[0].key_digest} Semiregular 2\u2032\n", encoding="utf-8")
+    c_locale = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0", "PYTHONIOENCODING": "utf-8"}
+    res = run_module("enumerate", "--q", "2", "--all", "--labels", str(labels), env=c_locale)
+    assert res.returncode == 0, res.stderr
+    assert "\nSemiregular 2\u2032: b=" in res.stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("abelianize", "--in", "{bad}"),
+        ("present", "--in", "{bad}"),
+        ("twist", "--in", "{bad}", "--kind", "q"),
+        ("enumerate", "--q", "2", "--all", "--labels", "{bad}"),
+        ("verify", "--q", "2", "--data", "{bad}"),
+    ],
+    ids=["abelianize-in", "present-in", "twist-in", "enumerate-labels", "verify-data"],
+)
+def test_input_that_is_not_utf8_is_named(capsys, tmp_path, argv):
+    bad = tmp_path / "bad.tp"
+    bad.write_bytes(Q2_CLASS0.encode() + b"\xff\n")
+    code, out, err = run(capsys, *(a.format(bad=bad) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {bad} is not UTF-8 text: invalid start byte at byte {len(Q2_CLASS0)}\n"
 
 
 def test_verify_reads_labels_before_computing(capsys, tmp_path, monkeypatch):

@@ -24,6 +24,7 @@ from tripres.presentations import (
     is_multiplier_fixed,
     is_singer_invariant,
     key_digest,
+    presentation_from_sigma,
     presentation_from_text,
     presentation_to_text,
     relabel,
@@ -181,9 +182,34 @@ def test_class_key_digests_pinned():
 
 
 def test_class_digest_is_digest_of_canonical_form():
-    for q in (2, 3, 4, 5):
-        for c in enumerate_all_invariant(build_plane(q)):
+    for q in SUPPORTED_Q:
+        plane = build_plane(q)
+        for c in enumerate_all_invariant(plane):
+            assert c.representative == presentation_from_sigma(plane, *c.members[0]), (q, c.index)
             assert c.key_digest == key_digest(canonical_form(c.representative)), (q, c.index)
+
+
+def test_key_digest_text_past_the_largest_supported_n():
+    form = ((0, 1, 182), (0, 183, 4000))
+    assert key_digest(form) == hashlib.sha256(b"0,1,182;0,183,4000").hexdigest()[:12]
+
+
+def test_classes_are_named_without_building_triple_sets(monkeypatch):
+    import tripres.presentations as presentations
+
+    calls = {"presentation_from_sigma": 0, "is_singer_invariant": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(presentations, name)):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(presentations, name, counted)
+    classes = enumerate_all_invariant(build_plane(13))
+    assert calls == {"presentation_from_sigma": 0, "is_singer_invariant": 0}
+    rep = classes[7].representative
+    assert calls == {"presentation_from_sigma": 1, "is_singer_invariant": 0}
+    assert classes[7].representative is rep
+    assert calls == {"presentation_from_sigma": 1, "is_singer_invariant": 0}
 
 
 def full_scan_canonical_form(p):
