@@ -3,6 +3,23 @@
 This is the computed side of the table verification: for every equivalence
 class of invariant presentations, the abelianization of a representative
 and of its two multiplier twists.
+
+Only one class of each generator-inverse pair is abelianized; the partner's
+three groups are read off it, with the two twists exchanged.  Write R for
+the representative, iota for generator inversion (x, y, z) -> (z, y, x) and
+t1, t2 for the multiplier twists.  Then:
+
+- Gamma(iota T) is isomorphic to Gamma(T) through a_x -> a_x^-1;
+- iota(t2(R)) = {(qz, q^2 y, x)}, which relabeled by j -> q^2 j is
+  {(z, qy, q^2 x)} = t1(iota R);
+- the inverse class's representative is r * iota R for a unit r, since
+  invariant sets are fixed by translations, and scalings commute with
+  both twists;
+- iota R is multiplier-fixed because R is, so t1 and t2 of it are defined.
+
+So the partner's base is the class's base, its q twist is the class's q^2
+twist and its q^2 twist the class's q twist.  A self-inverse class, or one
+whose partner comes later, is computed from its own representative.
 """
 
 from __future__ import annotations
@@ -34,10 +51,14 @@ def invariant_catalog(q: int) -> tuple[TwistOrbit, ...]:
     plane = build_plane(q)
     orbits = []
     for cls in enumerate_all_invariant(plane):
-        rep = cls.representative
-        base = abelianization(group_presentation(rep))
-        g1 = abelianization(group_presentation(twist_multiplier(rep, 1)))
-        g2 = abelianization(group_presentation(twist_multiplier(rep, 2)))
+        if cls.inverse_index < cls.index:
+            partner = orbits[cls.inverse_index]
+            base, g1, g2 = partner.base, partner.twist_q2, partner.twist_q
+        else:
+            rep = cls.representative
+            base = abelianization(group_presentation(rep))
+            g1 = abelianization(group_presentation(twist_multiplier(rep, 1)))
+            g2 = abelianization(group_presentation(twist_multiplier(rep, 2)))
         orbits.append(
             TwistOrbit(
                 q=q,
@@ -50,4 +71,3 @@ def invariant_catalog(q: int) -> tuple[TwistOrbit, ...]:
             )
         )
     return tuple(orbits)
-

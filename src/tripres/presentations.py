@@ -580,9 +580,9 @@ def correspondence(p: TrianglePresentation) -> tuple[int, int, int] | None:
 
     The scale is normalized as `_normalize_scale` does.
     """
-    lines: dict[int, set[int]] = {}
+    lines: defaultdict[int, set[int]] = defaultdict(set)
     for x, y, _ in p.triples:
-        lines.setdefault(x, set()).add(y)
+        lines[x].add(y)
     return _affine_map(p.q, p.n, lines)
 
 

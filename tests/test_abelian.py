@@ -278,6 +278,64 @@ def test_all_catalog_groups_are_finite():
     assert len(invariant_catalog(13)) == 48
 
 
+def test_inverse_partner_groups_match_direct_computation():
+    # oracle for the catalog's reuse: each class whose groups are copied from
+    # its generator-inverse partner, abelianized from its own representative
+    from tripres.abelian import abelianization
+    from tripres.catalog import invariant_catalog
+    from tripres.gf import SUPPORTED_Q
+    from tripres.plane import build_plane
+    from tripres.presentations import (
+        enumerate_all_invariant,
+        group_presentation,
+        twist_multiplier,
+    )
+
+    for q in SUPPORTED_Q:
+        catalog = invariant_catalog(q)
+        classes = enumerate_all_invariant(build_plane(q))
+        assert [catalog[o.inverse_index].inverse_index for o in catalog] == [
+            o.index for o in catalog
+        ], f"q={q}"
+        for cls, orbit in zip(classes, catalog):
+            if cls.inverse_index >= cls.index:
+                continue
+            rep = cls.representative
+            base = abelianization(group_presentation(rep))
+            g1 = abelianization(group_presentation(twist_multiplier(rep, 1)))
+            g2 = abelianization(group_presentation(twist_multiplier(rep, 2)))
+            partner = catalog[cls.inverse_index]
+            assert (base, g1, g2) == (orbit.base, orbit.twist_q, orbit.twist_q2), (q, cls.index)
+            assert (base, g1, g2) == (partner.base, partner.twist_q2, partner.twist_q)
+            assert base.rank == g1.rank == g2.rank == 0
+
+
+@pytest.mark.parametrize("q, n_classes, n_calls", [(7, 12, 18), (11, 16, 24)])
+def test_catalog_abelianizes_one_class_per_inverse_pair(monkeypatch, q, n_classes, n_calls):
+    from tripres import catalog
+
+    abelianization = catalog.abelianization
+    enumerate_all_invariant = catalog.enumerate_all_invariant
+    calls = []
+    built = []
+
+    def count(gp):
+        calls.append(gp)
+        return abelianization(gp)
+
+    def record(plane):
+        built[:] = enumerate_all_invariant(plane)
+        return built
+
+    monkeypatch.setattr(catalog, "abelianization", count)
+    monkeypatch.setattr(catalog, "enumerate_all_invariant", record)
+    orbits = catalog.invariant_catalog.__wrapped__(q)
+    assert len(orbits) == len(built) == n_classes
+    assert len(calls) == n_calls
+    for cls in built:
+        assert ("representative" in vars(cls)) == (cls.inverse_index >= cls.index)
+
+
 # q -> sha256 of "index:rank/d1,d2,...;..." over the base, q and q^2 groups
 # of every catalog class, in catalog order.
 PINNED_CATALOG_GROUPS = {
