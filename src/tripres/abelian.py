@@ -12,10 +12,10 @@ ends.  Once the pivot's row and column are clear, a later row holding an
 entry the pivot does not divide is added to the pivot row and reduced
 again, which lowers the pivot to a gcd (Cohen, A Course in Computational
 Algebraic Number Theory, 2.4), so the diagonal is a nonnegative divisor
-chain as it is built.  `invariant_factors` runs the core on the bare
-matrix; `snf` runs it on the matrix augmented by identity blocks, [M | I]
-over [I | 0], so the same row and column moves build the unimodular U and
-V with U*M*V = D.
+chain as it is built.  `snf` runs the core on the matrix augmented by
+identity blocks, [M | I] over [I | 0], so the same row and column moves
+build the unimodular U and V with U*M*V = D; `invariant_factors` is the
+diagonal of that D.
 
 `AbelianGroup` holds its torsion as that divisor chain, which is unique,
 so groups compare and sort by (rank, divisors); `from_primary` builds the
@@ -25,12 +25,14 @@ are found only to print a group.
 `abelianization` solves generators on +-1 coefficients by lazy Tietze
 substitution: each generator is written once in terms of a few free seed
 generators (unit-pivot elimination after Havas-Holt-Rees, "Recognizing
-badly presented Z-modules", 1993).  Of the remaining relators it keeps
-only those that enlarge the lattice spanned by the rows kept so far,
-tested in the Smith coordinates of `snf`: a generator's image in a
-coordinate is computed once per `snf`, on first use, so a test is one
-short integer sum per coordinate, stopped at the first nonzero residue.
-The few kept rows, a few seed columns wide, go to `invariant_factors`.
+badly presented Z-modules", 1993); when no relator is ready, the first
+unsolved generator of the first relator with two unsolved ones becomes a
+seed.  Of the remaining relators it keeps only those that enlarge the
+lattice spanned by the rows kept so far, tested in the Smith coordinates
+of `snf`: a generator's image in a coordinate is computed once per `snf`,
+on first use, so a test is one short integer sum per coordinate, stopped
+at the first nonzero residue.  The few kept rows, a few seed columns
+wide, go to `invariant_factors`.
 """
 
 from __future__ import annotations
@@ -85,12 +87,15 @@ def _find_pivot(a: list[list[int]], t: int, m: int, n: int):
     return best
 
 
-def _smith(a: list[list[int]], m: int, n: int) -> None:
-    """Bring the leading m x n block of the rows `a` to Smith form in place.
-
-    Row moves act on whole rows and column moves on every row, so identity
-    blocks appended to the right of and below the block record U and V.
-    """
+def snf(matrix) -> SNFResult:
+    """Smith normal form with unimodular transforms, deterministic."""
+    a = [[int(x) for x in row] for row in matrix]
+    m = len(a)
+    n = len(a[0]) if m else 0
+    # [M | I_m] over [I_n | 0]: row moves act on whole rows and column moves
+    # on every row, so U builds up to the right of M and V below it
+    a = [row + [int(i == k) for k in range(m)] for i, row in enumerate(a)]
+    a += [[int(i == k) for k in range(n)] + [0] * m for i in range(n)]
     t = 0
     while (piv := _find_pivot(a, t, m, n)) is not None:
         pi, pj = piv
@@ -120,17 +125,6 @@ def _smith(a: list[list[int]], m: int, n: int) -> None:
             t += 1
         else:
             a[t] = [x + y for x, y in zip(a[t], a[i])]
-
-
-def snf(matrix) -> SNFResult:
-    """Smith normal form with unimodular transforms, deterministic."""
-    a = [[int(x) for x in row] for row in matrix]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    # [M | I_m] over [I_n | 0]: U builds up to the right of M, V below it
-    a = [row + [int(i == k) for k in range(m)] for i, row in enumerate(a)]
-    a += [[int(i == k) for k in range(n)] + [0] * m for i in range(n)]
-    _smith(a, m, n)
     return SNFResult(
         u=tuple(tuple(row[n:]) for row in a[:m]),
         d=tuple(tuple(row[:n]) for row in a[:m]),
@@ -139,12 +133,8 @@ def snf(matrix) -> SNFResult:
 
 
 def invariant_factors(matrix) -> tuple[int, ...]:
-    """Nonzero SNF diagonal entries, without tracking transforms."""
-    a = [[int(x) for x in row] for row in matrix]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    _smith(a, m, n)
-    return tuple(a[i][i] for i in range(min(m, n)) if a[i][i])
+    """Nonzero SNF diagonal entries."""
+    return snf(matrix).divisors
 
 
 def determinant(matrix) -> int:
@@ -350,9 +340,9 @@ def abelianization(gp) -> AbelianGroup:
     holds exactly one unsolved generator u, with coefficient c = +-1; then
     u = -c * (sum of the relator's other terms), a Tietze move that keeps
     the cokernel, and the relator is used up.  Ready relators are worked
-    through with a stack.  When none is ready, the unsolved generator that
-    lies in the most relators with exactly two unsolved generators (ties by
-    smallest index; else the first unsolved one) becomes a new seed.
+    through with a stack.  When none is ready, the first unsolved generator
+    of the first relator with exactly two unsolved generators (else the
+    first unsolved generator) becomes a new seed.
 
     The unused relators are then tested one by one against the lattice L
     spanned by the kept rows K, written in the seeds.  With
@@ -363,16 +353,15 @@ def abelianization(gp) -> AbelianGroup:
     sums c * image over the relator's few terms, one coordinate at a time,
     and stops at the first nonzero residue, so a relator in L costs one
     such sum per live coordinate.  A relator in L is skipped without being
-    rewritten; one outside L is rewritten in the seeds and kept.  Once
-    every d_i is 1 the quotient is trivial and the rest are skipped.  The
-    kept rows go to `invariant_factors`.
+    rewritten; one outside L is rewritten in the seeds and kept.  The kept
+    rows go to `invariant_factors`.
 
     The result is the cokernel of the full core: a skipped relator lay in
     span(K) when it was tested and the span only grows, so the kept rows
     span the same lattice as all unused relators, and invariant factors
     are unique.  Each kept row raises the rank or at least halves the
     index, so at most seeds + log2(first full-rank index) rows are kept
-    (at most 10 over every catalog presentation for q <= 13).
+    (at most 12 over every catalog presentation for q <= 13).
     """
     n = gp.num_generators
     rows = _relator_rows(gp)
@@ -414,13 +403,8 @@ def abelianization(gp) -> AbelianGroup:
             solve(u, e)
         if len(expr) == n:
             break
-        pairs: dict[int, int] = {}
-        for i, k in enumerate(unsolved):
-            if k == 2:
-                for j in rows[i]:
-                    if j not in expr:
-                        pairs[j] = pairs.get(j, 0) + 1
-        u = min((j for j in range(n) if j not in expr), key=lambda j: (-pairs.get(j, 0), j))
+        i = next((i for i, k in enumerate(unsolved) if k == 2), None)
+        u = next(j for j in (rows[i] if i is not None else range(n)) if j not in expr)
         solve(u, {seeds: 1})
         seeds += 1
     # kept rows K, and one (w, col, d) per live Smith coordinate of snf(K),
@@ -454,7 +438,5 @@ def abelianization(gp) -> AbelianGroup:
             for i in range(seeds)
             if (d := res.d[i][i] if i < len(kept) else 0) != 1
         ]
-        if not live:
-            break
     factors = invariant_factors(kept) if kept else ()
     return AbelianGroup.from_invariant_factors(factors, rank=seeds - len(factors))

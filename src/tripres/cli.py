@@ -21,13 +21,13 @@ from .catalog import invariant_catalog
 from .gf import SUPPORTED_Q, build_field, poly_str
 from .plane import build_plane, check_difference_set
 from .presentations import (
-    PresentationFormatError,
     enumerate_all_invariant,
     enumerate_invariant,
     extended_presentation,
     group_presentation,
     presentation_from_text,
     presentation_to_text,
+    read_utf8,
     twist_multiplier,
     twist_translation,
 )
@@ -42,19 +42,11 @@ def _header(q: int | None = None) -> str:
     return "\n".join(parts)
 
 
-def _read_text(path: str) -> str:
-    """The input file at `path`, decoded as UTF-8 whatever the locale says."""
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as err:
-        raise ValueError(f"{path} is not UTF-8 text: {err.reason} at byte {err.start}") from None
-
-
 def _load_labels(path: str | None) -> dict[str, str]:
     if not path:
         return {}
     labels = {}
-    for number, raw in enumerate(_read_text(path).splitlines(), 1):
+    for number, raw in enumerate(read_utf8(path).splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -131,7 +123,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_twist(args) -> int:
-    p = presentation_from_text(_read_text(args.infile))
+    p = presentation_from_text(read_utf8(args.infile))
     if args.kind == "q":
         result = twist_multiplier(p, 1)
     elif args.kind == "q2":
@@ -169,7 +161,7 @@ def _letter(idx: int, n: int) -> str:
 
 
 def cmd_present(args) -> int:
-    p = presentation_from_text(_read_text(args.infile))
+    p = presentation_from_text(read_utf8(args.infile))
     if args.extended:
         gp = extended_presentation(p, _phi_from_spec(p, args.extended))
     else:
@@ -182,7 +174,7 @@ def cmd_present(args) -> int:
 
 
 def cmd_abelianize(args) -> int:
-    p = presentation_from_text(_read_text(args.infile))
+    p = presentation_from_text(read_utf8(args.infile))
     print(_header(p.q))
     print(str(abelianization(group_presentation(p))))
     return 0
@@ -312,7 +304,7 @@ def main(argv=None) -> int:
         # /dev/null so the flush at exit does not raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except (PresentationFormatError, OSError, ValueError) as err:
+    except (OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -554,6 +554,15 @@ def read_int(text: str) -> int:
     return int(text)
 
 
+def read_utf8(path) -> str:
+    """The input file at `path`, decoded as UTF-8 whatever the locale says."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as err:
+        raise ValueError(f"{path} is not UTF-8 text: {err.reason} at byte {err.start}") from None
+
+
 def _translate_form(points, n: int) -> tuple[tuple[int, ...], int]:
     """(form, t) with points = form + t, form the lex-least translate holding 0."""
     return min(((tuple(sorted((y - t) % n for y in points)), t) for t in points), default=((), 0))

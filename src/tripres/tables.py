@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 from .abelian import AbelianGroup, away_from, direct_double
 from .catalog import TwistOrbit
-from .presentations import read_int
+from .presentations import read_int, read_utf8
 
 EXPECTED_ROW_COUNTS = {2: 9, 3: 90, 4: 6, 5: 7, 7: 19, 8: 6, 9: 9, 11: 24}
 
@@ -141,11 +141,7 @@ def load_dataset(path=None) -> Dataset:
     if path is None:
         text = _bundled_text()
     else:
-        try:
-            with open(path, encoding="utf-8") as fh:
-                text = fh.read()
-        except UnicodeDecodeError as err:
-            raise ValueError(f"{path} is not UTF-8 text: {err.reason} at byte {err.start}") from None
+        text = read_utf8(path)
     rows: list[PaperRow] = []
     seen: set[tuple[int, str]] = set()
     for ln, raw in enumerate(text.splitlines(), start=1):

@@ -481,26 +481,47 @@ def test_abelianization_matches_sympy_on_core_growth_paths(gp):
     _assert_matches_sympy(gp)
 
 
+# Per-q maxima over every catalog class, base and both twists, of the core
+# that reaches invariant_factors: seed columns, kept rows, entry bit length.
+CORE_MAXIMA = {
+    2: (3, 3, 4),
+    3: (4, 4, 4),
+    4: (6, 6, 5),
+    5: (4, 7, 7),
+    7: (6, 8, 16),
+    8: (9, 10, 11),
+    9: (7, 9, 13),
+    11: (6, 8, 16),
+    13: (10, 12, 35),
+}
+
+
 def test_dense_core_keeps_few_rows(monkeypatch):
-    # every q=7..9 catalog group is finite, so each abelianization ends in one
+    # every catalog group is finite, so each abelianization ends in one
     # invariant_factors call; only rows that enlarge the lattice reach it
     import tripres.abelian as abelian
+    from tripres.gf import SUPPORTED_Q
     from tripres.plane import build_plane
     from tripres.presentations import enumerate_all_invariant, group_presentation, twist_multiplier
 
-    sizes = []
+    cores = []
     real = abelian.invariant_factors
 
     def record(matrix):
-        sizes.append(len(matrix))
+        cores.append(matrix)
         return real(matrix)
 
     monkeypatch.setattr(abelian, "invariant_factors", record)
-    for q in (7, 8, 9):
-        plane = build_plane(q)
-        for cls in enumerate_all_invariant(plane):
+    assert sorted(CORE_MAXIMA) == sorted(SUPPORTED_Q)
+    for q in SUPPORTED_Q:
+        most = (0, 0, 0)
+        for cls in enumerate_all_invariant(build_plane(q)):
             rep = cls.representative
             for k in range(3):
-                sizes.clear()
+                cores.clear()
                 abelian.abelianization(group_presentation(twist_multiplier(rep, k) if k else rep))
-                assert len(sizes) == 1 and sizes[0] <= 16, (q, cls.index, k, sizes)
+                assert len(cores) == 1, (q, cls.index, k, len(cores))
+                core = cores[0]
+                bits = max(abs(x).bit_length() for row in core for x in row)
+                most = tuple(map(max, most, (len(core[0]), len(core), bits)))
+        assert most == CORE_MAXIMA[q], q

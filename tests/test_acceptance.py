@@ -48,6 +48,7 @@ from tripres.tables import (
     twice_heuristic,
     verify_abelianizations,
 )
+from test_abelian import minors_gcd_divisors
 
 TABLE_QS = (2, 3, 4, 5, 7, 8, 9, 11)
 
@@ -191,25 +192,6 @@ def test_criterion_4_twist_algebra():
     assert triple_ok and trans_ok and forms_ok and permute_ok
 
 
-def _minors_divisors(m):
-    from math import gcd
-
-    rows, cols = len(m), len(m[0])
-    out = []
-    prev = 1
-    for k in range(1, min(rows, cols) + 1):
-        g = 0
-        for ri in itertools.combinations(range(rows), k):
-            for ci in itertools.combinations(range(cols), k):
-                sub = [[m[i][j] for j in ci] for i in ri]
-                g = gcd(g, abs(determinant(sub)))
-        if g == 0:
-            break
-        out.append(g // prev)
-        prev = g
-    return tuple(out)
-
-
 def test_criterion_5_snf_properties():
     """1000 random matrices: exact factorization, chain, unimodularity, oracle."""
     rng = random.Random(1311)
@@ -234,7 +216,7 @@ def test_criterion_5_snf_properties():
         ok &= abs(determinant(v)) == 1
         ok &= invariant_factors(m) == res.divisors
         if rows <= 4 and cols <= 4:
-            ok &= res.divisors == _minors_divisors(m)
+            ok &= res.divisors == minors_gcd_divisors(m)
             oracle_checked += 1
         if not ok:
             raise AssertionError(f"SNF property failed on {m}")

@@ -408,8 +408,9 @@ def test_labels_are_read_as_utf8_under_a_c_locale(tmp_path):
         ("twist", "--in", "{bad}", "--kind", "q"),
         ("enumerate", "--q", "2", "--all", "--labels", "{bad}"),
         ("verify", "--q", "2", "--data", "{bad}"),
+        ("survey", "--data", "{bad}"),
     ],
-    ids=["abelianize-in", "present-in", "twist-in", "enumerate-labels", "verify-data"],
+    ids=["abelianize-in", "present-in", "twist-in", "enumerate-labels", "verify-data", "survey-data"],
 )
 def test_input_that_is_not_utf8_is_named(capsys, tmp_path, argv):
     bad = tmp_path / "bad.tp"
