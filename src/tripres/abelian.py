@@ -28,11 +28,13 @@ generators (unit-pivot elimination after Havas-Holt-Rees, "Recognizing
 badly presented Z-modules", 1993); when no relator is ready, the first
 unsolved generator of the first relator with two unsolved ones becomes a
 seed.  Of the remaining relators it keeps only those that enlarge the
-lattice spanned by the rows kept so far, tested in the Smith coordinates
-of `snf`: a generator's image in a coordinate is computed once per `snf`,
-on first use, so a test is one short integer sum per coordinate, stopped
-at the first nonzero residue.  The few kept rows, a few seed columns
-wide, go to `invariant_factors`.
+lattice spanned by the rows kept so far, tested in coordinates of the
+quotient by that lattice, a sum of cyclic groups: a generator's image in
+a coordinate is computed once per coordinate, on first use, so a test is
+one short integer sum per coordinate, stopped at the first nonzero
+residue.  Each kept row updates the coordinates with the `snf` of a
+matrix only as wide as the live coordinates.  The few kept rows, a few
+seed columns wide, go to `invariant_factors`.
 """
 
 from __future__ import annotations
@@ -345,16 +347,22 @@ def abelianization(gp) -> AbelianGroup:
     first unsolved generator) becomes a new seed.
 
     The unused relators are then tested one by one against the lattice L
-    spanned by the kept rows K, written in the seeds.  With
-    U*K*V = D = `snf(K)`, L*V is the sum of d_i*Z, so a relator r lies in L
-    iff (r*V)_i = 0 mod d_i wherever d_i != 1 (d_i = 0 past the rank).
-    Each live coordinate i holds the generator images expr[j]*V_i, reduced
-    mod d_i, filled on first use and rebuilt after each `snf`.  The test
-    sums c * image over the relator's few terms, one coordinate at a time,
-    and stops at the first nonzero residue, so a relator in L costs one
-    such sum per live coordinate.  A relator in L is skipped without being
-    rewritten; one outside L is rewritten in the seeds and kept.  The kept
-    rows go to `invariant_factors`.
+    spanned by the kept rows K, written in the seeds.  The quotient
+    Z^seeds / L is held as the sum of Z/d_i over live coordinates i,
+    d_i != 1 (d_i = 0 for a free one): r maps to r*col_i mod d_i, so r lies
+    in L iff every such residue is 0.  Each live coordinate holds the
+    generator images expr[j]*col_i, reduced mod d_i, filled on first use.
+    The test sums c * image over the relator's few terms, one coordinate
+    at a time, and stops at the first nonzero residue, so a relator in L
+    costs one such sum per live coordinate.  A relator in L is skipped
+    without being rewritten; one outside L is rewritten in the seeds as r
+    and kept.  The new quotient is the old one modulo x = (r*col_i mod d_i),
+    the cokernel of S = [d_i*e_i for d_i != 0] + [x]; with U*S*V = D =
+    `snf(S)`, the new coordinate i has divisor D_ii and column
+    sum_k V[k][i]*col_k, reduced mod D_ii, and is dropped when D_ii = 1.
+    S is only as wide as the live coordinates, not the seeds.  Starting
+    from col_i = e_i and d_i = 0 for each seed, the quotient stays exact,
+    and the kept rows go to `invariant_factors`.
 
     The result is the cokernel of the full core: a skipped relator lay in
     span(K) when it was tested and the span only grows, so the kept rows
@@ -407,9 +415,10 @@ def abelianization(gp) -> AbelianGroup:
         u = next(j for j in (rows[i] if i is not None else range(n)) if j not in expr)
         solve(u, {seeds: 1})
         seeds += 1
-    # kept rows K, and one (w, col, d) per live Smith coordinate of snf(K),
-    # d = d_i != 1: col is column i of V, and w[j], filled on first use, is
-    # expr[j]*col, reduced mod d when d != 0.  With no row kept, V = I and d = 0.
+    # kept rows K, and one (w, col, d) per live coordinate of the quotient
+    # Z^seeds / span(K) = sum of Z/d, d != 1: a row r maps to r*col mod d,
+    # and w[j], filled on first use, is expr[j]*col, reduced mod d when d != 0.
+    # With no row kept, each seed is a free coordinate: col = e_i and d = 0.
     kept: list[list[int]] = []
     live = [([None] * n, [int(s == i) for s in range(seeds)], 0) for i in range(seeds)]
     for row, done in zip(rows, used):
@@ -432,11 +441,20 @@ def abelianization(gp) -> AbelianGroup:
             for s, x in expr[j].items():
                 vec[s] += c * x
         kept.append(vec)
-        res = snf(kept)
-        live = [
-            ([None] * n, [r[i] for r in res.v], d)
-            for i in range(seeds)
-            if (d := res.d[i][i] if i < len(kept) else 0) != 1
-        ]
+        k = len(live)
+        small = [[d * (i == j) for j in range(k)] for i, (_, _, d) in enumerate(live) if d]
+        x = [sum(a * b for a, b in zip(vec, col)) for _, col, _ in live]
+        small.append([y % d if d else y for y, (_, _, d) in zip(x, live)])
+        res = snf(small)
+        grown = []
+        for i in range(k):
+            if (d := res.d[i][i] if i < len(small) else 0) == 1:
+                continue
+            col = [0] * seeds
+            for r, (_, old, _) in zip(res.v, live):
+                if f := r[i]:
+                    col = [a + f * b for a, b in zip(col, old)]
+            grown.append(([None] * n, [a % d for a in col] if d else col, d))
+        live = grown
     factors = invariant_factors(kept) if kept else ()
     return AbelianGroup.from_invariant_factors(factors, rank=seeds - len(factors))
