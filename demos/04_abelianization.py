@@ -5,8 +5,9 @@ exponent-sum matrix, computed exactly over the integers.  `snf` returns
 the full U*M*V = D factorization; `abelianization` first solves each
 generator once, on a +-1 coefficient, in terms of a few seed generators,
 keeps only the leftover relators that enlarge the lattice spanned by the
-rows kept so far (tested in the coordinates of `snf`), and takes the
-transform-free invariant factors of those few rows, which agree with it.
+rows kept so far (tested in the coordinates of the quotient by that
+lattice, which each kept row updates with one small `snf`), and takes the
+invariant factors of those few rows, the diagonal of their `snf`.
 """
 
 from tripres.abelian import AbelianGroup, abelianization, relation_matrix, snf

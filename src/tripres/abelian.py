@@ -342,7 +342,10 @@ def abelianization(gp) -> AbelianGroup:
     holds exactly one unsolved generator u, with coefficient c = +-1; then
     u = -c * (sum of the relator's other terms), a Tietze move that keeps
     the cokernel, and the relator is used up.  Ready relators are worked
-    through with a stack.  When none is ready, the first unsolved generator
+    through with a stack.  Each relator keeps, beside its count of unsolved
+    generators, the running sum of their indices, and a solve lowers both;
+    since a row's generators are distinct, a ready relator's u is that sum,
+    found without a scan.  When none is ready, the first unsolved generator
     of the first relator with exactly two unsolved generators (else the
     first unsolved generator) becomes a new seed.
 
@@ -377,7 +380,11 @@ def abelianization(gp) -> AbelianGroup:
     for i, row in enumerate(rows):
         for j in row:
             rows_of[j].append(i)
+    # beside each row's count of unsolved generators, the sum of their
+    # indices: _relator_rows gives a row distinct keys with nonzero
+    # coefficients, so a row with one unsolved generator holds it at usum
     unsolved = [len(row) for row in rows]
+    usum = [sum(row) for row in rows]
     used = [False] * len(rows)
     expr: dict[int, dict[int, int]] = {}
     ready = [i for i, k in enumerate(unsolved) if k == 1]
@@ -387,6 +394,7 @@ def abelianization(gp) -> AbelianGroup:
         expr[u] = e
         for i in rows_of[u]:
             unsolved[i] -= 1
+            usum[i] -= u
             if unsolved[i] == 1:
                 ready.append(i)
 
@@ -394,8 +402,9 @@ def abelianization(gp) -> AbelianGroup:
         while ready:
             i = ready.pop()
             row = rows[i]
-            u = next((j for j in row if j not in expr), None)
-            if u is None or row[u] not in (1, -1):
+            # another solve may have emptied the row since it became ready
+            u = usum[i]
+            if not unsolved[i] or row[u] not in (1, -1):
                 continue
             e: dict[int, int] = {}
             for j, c in row.items():
@@ -429,7 +438,9 @@ def abelianization(gp) -> AbelianGroup:
             for j, c in row.items():
                 y = w[j]
                 if y is None:
-                    y = sum(x * col[s] for s, x in expr[j].items())
+                    y = 0
+                    for s, v in expr[j].items():
+                        y += v * col[s]
                     w[j] = y = y % d if d else y
                 t += c * y
             if t % d if d else t:

@@ -484,6 +484,16 @@ def test_abelianization_matches_sympy_on_random_relators():
         # 2e1 + 3e2 leaves one free coordinate, with column (-3, 2); 2e1 - 2e2
         # maps to -10 there (to 0 if the column were e1 + e2), and 10e1 to -30
         _gp(2, [(1, 1, 2, 2, 2), (1, 1, -2, -2), (1,) * 10]),
+        # seeding x3 makes the first row ready on x2, held with coefficient 2
+        # (then -2), so x2 is left unsolved and the row goes to the lattice test
+        _gp(3, [(3, 2, 2), (3, 3, 1), (2, 2, 2, 1)]),
+        _gp(3, [(3, -2, -2), (3, 3, 1), (2, 2, 2, -1)]),
+        # seeding x1 makes both first rows ready; solving x2 from the second
+        # empties the first before it is popped, so it must not solve x1 again
+        _gp(3, [(1, 2), (1, -2), (3, 3, 3)]),
+        # the first row is {x3: 2, x1: 1}: x2 cancels out beside the repeated
+        # x3, so the row is ready on x1 alone once x3 is seeded
+        _gp(3, [(3, 3, 2, -2, 1), (3, 3, 3, 2, 2), (2, -3)]),
     ],
 )
 def test_abelianization_matches_sympy_on_core_growth_paths(gp):
