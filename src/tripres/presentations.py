@@ -374,23 +374,50 @@ def classify_central_forms(p: TrianglePresentation) -> frozenset[str]:
 # Equivalence
 
 
-def _canonical_triples(n: int, block) -> tuple[Triple, ...]:
-    """Canonical form of the invariant set whose x=0 block is `block`, pairs (y, z).
+def _least_block(n: int, block) -> list[tuple[int, int]]:
+    """The least of the sorted scaled blocks sorted((r*y, r*z) mod n), r a unit.
 
-    The scaled copies j -> r*j of an invariant set are invariant, with x=0
-    block r*block, and each heads its sorted triple list with that block;
-    all blocks have the same size, so the copies compare the way their
-    sorted blocks do.  Only q+1 pairs are sorted per unit.  The winning
-    block, shifted by x, is the x-block of its set: its y order is the
-    block's own, rotated to start at the first y that wraps past N.
+    Each sorted list starts with its least pair, so the winner starts with
+    the least pair over all units and all pairs, and only the units that
+    reach that pair can win.  A pair (0, 0) leads every list and decides
+    nothing.  For a pair with y != 0, r*y mod n is a nonzero multiple of
+    g = gcd(y, n), and it equals g exactly for the units
+    r = (y/g)^-1 mod n/g; a pair (0, z) with z != 0 leads with (0, gcd(z, n))
+    for the units r = (z/g)^-1 mod n/g.  A unit that brings no pair to the
+    least lead heads a larger list, so only the units that do have their
+    blocks sorted.  With no such unit every scaling gives the same list.
     """
-    best = min(sorted(((r * y) % n, (r * z) % n) for y, z in block) for r in _units(n))
+    lead = None
+    units: list[int] = []
+    for y, z in block:
+        a = y or z
+        if not a:
+            continue
+        g = gcd(a, n)
+        m = n // g
+        for r in range(pow(a // g, -1, m), n, m):
+            if gcd(r, n) == 1:
+                pair = ((r * y) % n, (r * z) % n)
+                if lead is None or pair < lead:
+                    lead, units = pair, [r]
+                elif pair == lead:
+                    units.append(r)
+    return min(
+        (sorted(((r * y) % n, (r * z) % n) for y, z in block) for r in units),
+        default=sorted(block),
+    )
+
+
+def _x_blocks(n: int, best):
+    """(x, the x-block of the invariant set whose x=0 block is `best`), x = 0..n-1.
+
+    `best` is sorted; shifted by x, its y order is its own, rotated to
+    start at the first y that wraps past N.
+    """
     ys = [y for y, _ in best]
-    out = []
     for x in range(n):
         k = bisect_left(ys, n - x)
-        out += [(x, (y + x) % n, (z + x) % n) for y, z in best[k:] + best[:k]]
-    return tuple(out)
+        yield x, best[k:] + best[:k]
 
 
 def canonical_form(p: TrianglePresentation) -> tuple[Triple, ...]:
@@ -398,12 +425,15 @@ def canonical_form(p: TrianglePresentation) -> tuple[Triple, ...]:
 
     Defined for cyclically invariant presentations only; any other input
     raises ValueError.  Translations fix an invariant triple set, so only
-    the scalings j -> r*j by units r need to be scanned, and an invariant
-    set is determined by its x=0 block {(0, y, z)}: the form is built from
-    that block alone (see `_canonical_triples`).  The catalog names its
-    classes the same way straight from their difference data, so the
-    library never calls this; the tests keep it as the oracle for those
-    names.
+    the scalings j -> r*j by units r matter, and an invariant set is
+    determined by its x=0 block {(0, y, z)}.  Each scaled copy heads its
+    sorted triple list with its own sorted x=0 block r*block, and all blocks
+    have the same size, so the copies compare the way those blocks do:
+    `_least_block` finds the least one from the units that reach its least
+    pair, since no other unit can head a smaller list, and the form is
+    that block shifted by each x.  The catalog names its classes from the
+    same block (see `enumerate_all_invariant`), so the library never calls
+    this; the tests keep it as the oracle for those names.
 
     Generator inversion is deliberately *not* part of the reduction group:
     an invariant presentation and its inverse define distinct catalog
@@ -411,26 +441,44 @@ def canonical_form(p: TrianglePresentation) -> tuple[Triple, ...]:
     """
     if not is_singer_invariant(p):
         raise ValueError("canonical form is defined for cyclically invariant presentations")
-    return _canonical_triples(p.n, [(y, z) for x, y, z in p.triples if x == 0])
+    n = p.n
+    best = _least_block(n, [(y, z) for x, y, z in p.triples if x == 0])
+    return tuple(
+        (x, (y + x) % n, (z + x) % n) for x, rows in _x_blocks(n, best) for y, z in rows
+    )
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:12]
+
+
+def key_digest(form) -> str:
+    """Short stable digest of a canonical triple list, used in label files.
+
+    It hashes the triples as `x,y,z` joined by `;`.  The catalog builds
+    the same text from a class's least block (`_block_digest`); the tests
+    check the two against each other.
+    """
+    return _digest(";".join(map("%d,%d,%d".__mod__, form)))
 
 
 # decimal text of the residues 0..N-1 of every supported q
 _DECIMALS = tuple(map(str, range(max(q * q + q + 1 for q in SUPPORTED_Q))))
 
 
-def key_digest(form) -> str:
-    """Short stable digest of a canonical triple list, used in label files.
+def _block_digest(n: int, block) -> str:
+    """`key_digest(canonical_form(p))` for the invariant set p with x=0 block `block`.
 
-    It hashes the triples as `x,y,z` joined by `;`.  The entries are
-    residues mod N, as `canonical_form` gives them; their text is looked
-    up, not formatted, unless one lies past the largest supported N.
+    The text is built from the least block without triple tuples: a
+    doubled decimal table gives the text of y + x mod n for y + x < 2n.
     """
-    dec = _DECIMALS
-    try:
-        text = ";".join([f"{dec[x]},{dec[y]},{dec[z]}" for x, y, z in form])
-    except IndexError:
-        text = ";".join(map("%d,%d,%d".__mod__, form))
-    return hashlib.sha256(text.encode()).hexdigest()[:12]
+    best = _least_block(n, block)
+    dec = _DECIMALS[:n] * 2
+    parts = []
+    for x, rows in _x_blocks(n, best):
+        px = dec[x]
+        parts.append(";".join([f"{px},{dec[y + x]},{dec[z + x]}" for y, z in rows]))
+    return _digest(";".join(parts))
 
 
 def _orbit_key(q: int, n: int, b: int, sigma: SigmaCycle):
@@ -476,8 +524,12 @@ def enumerate_all_invariant(plane: SingerPlane) -> list[InvariantClass]:
 
     Each class is named from its first member (b0, sigma0) alone: the x=0
     block of `presentation_from_sigma(plane, b0, sigma0)` is
-    {(u, u + sigma0(u)) : u in D + b0}, and `_canonical_triples` expands
-    the canonical form from it.  No triple set is built here.
+    {(u, u + sigma0(u)) : u in D + b0}.  `_least_block` finds its least
+    scaling by inverting each pair's leading coordinate, not by trying
+    every unit: a unit that does not bring some pair to the least leading
+    pair heads a larger sorted list.  `_block_digest` then hashes the text
+    of the canonical form straight from that block.  No triple set is
+    built here.
     """
     n, q = plane.n_points, plane.q
     groups: dict = {}
@@ -497,7 +549,7 @@ def enumerate_all_invariant(plane: SingerPlane) -> list[InvariantClass]:
                 q=q,
                 index=i,
                 members=members,
-                key_digest=key_digest(_canonical_triples(n, block)),
+                key_digest=_block_digest(n, block),
                 inverse_index=index_of[inv_key],
             )
         )

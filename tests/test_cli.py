@@ -75,13 +75,15 @@ def test_field_and_plane_output_pinned(capsys):
     assert digest == "a2e4b265e9fb3705737c06a1018e86d066c2b15254c8ab340e13dd6dae9722f4"
 
 
+ENUMERATE_Q13_SHA256 = "5936f3d24d67a0d0d4d5d3629e502338c5a20d88c5a8d06080d4f4bda7a0bee0"
+
+
 @pytest.mark.parametrize(
     "argv, exit_code, digest",
     [
         (("verify", "--all"), 0, "e27fd6bdefff5b46730d7281d70e5c7ae3916fa2e891e9382e57d42b45cf00e5"),
         (("survey",), 1, "7e593e6a796af27c47c48adb76e288c10c7a01a7e2991a106cff5eb01c6a88b6"),
-        (("enumerate", "--q", "13", "--all"), 0,
-         "5936f3d24d67a0d0d4d5d3629e502338c5a20d88c5a8d06080d4f4bda7a0bee0"),
+        (("enumerate", "--q", "13", "--all"), 0, ENUMERATE_Q13_SHA256),
     ],
     ids=["verify-all", "survey", "enumerate-q13-all"],
 )
@@ -91,6 +93,16 @@ def test_command_output_pinned(capsys, argv, exit_code, digest):
     code, out, _ = run(capsys, *argv)
     assert code == exit_code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "1"])
+def test_enumerate_output_does_not_depend_on_the_hash_seed(hash_seed):
+    """Set and dict order of strings moves with PYTHONHASHSEED; the class names must not."""
+    import hashlib
+
+    res = run_module("enumerate", "--q", "13", "--all", env={"PYTHONHASHSEED": hash_seed})
+    assert res.returncode == 0
+    assert hashlib.sha256(res.stdout.encode()).hexdigest() == ENUMERATE_Q13_SHA256
 
 
 def test_enumerate_all_q2(capsys, tmp_path):

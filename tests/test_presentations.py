@@ -194,6 +194,10 @@ def test_key_digest_text_past_the_largest_supported_n():
     assert key_digest(form) == hashlib.sha256(b"0,1,182;0,183,4000").hexdigest()[:12]
 
 
+def test_key_digest_text_of_a_negative_entry():
+    assert key_digest(((0, -1, 2),)) == hashlib.sha256(b"0,-1,2").hexdigest()[:12]
+
+
 def test_classes_are_named_without_building_triple_sets(monkeypatch):
     import tripres.presentations as presentations
 

@@ -1,5 +1,6 @@
 """Property tests for the bracket cell grammar, the integer factorizer,
-abelianization and the `.tp` presentation reader.
+the least scaled block behind the class names, abelianization and the
+`.tp` presentation reader.
 
 Examples are derandomized and the example database is off, so every run
 checks the same inputs.
@@ -7,7 +8,7 @@ checks the same inputs.
 
 import io
 from contextlib import redirect_stderr, redirect_stdout
-from math import prod
+from math import gcd, prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,8 +18,8 @@ from sympy.matrices.normalforms import invariant_factors as sympy_factors
 
 from tripres.abelian import AbelianGroup, abelianization, relation_matrix
 from tripres.cli import main
-from tripres.gf import factorize
-from tripres.presentations import GroupPresentation, TrianglePresentation
+from tripres.gf import SUPPORTED_Q, factorize
+from tripres.presentations import GroupPresentation, TrianglePresentation, _least_block
 from tripres.tables import format_group_cell, parse_group_cell
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=150)
@@ -102,6 +103,34 @@ def test_rotation_classes_match_lex_least_rotation(triples):
     p = TrianglePresentation(q=2, n=7, triples=frozenset(triples))
     want = sorted({min((x, y, z), (y, z, x), (z, x, y)) for x, y, z in triples})
     assert p.rotation_classes() == tuple(want)
+
+
+@st.composite
+def scaled_blocks(draw):
+    """(N, block) for a supported N: pairs (y, z) with distinct y.
+
+    Up to q+1 pairs with y != 0, then a (0, 0) pair, a (0, z) pair with
+    z != 0, or neither.  The composite N (21, 57, 91, 133, 183) give pairs
+    whose y shares a factor with N, so y/g is inverted mod N/g.
+    """
+    q = draw(st.sampled_from(SUPPORTED_Q))
+    n = q * q + q + 1
+    ys = draw(st.lists(st.integers(1, n - 1), unique=True, max_size=q + 1))
+    block = [(y, draw(st.integers(0, n - 1))) for y in ys]
+    z0 = draw(st.integers(1, n - 1))
+    block += draw(st.sampled_from(([], [(0, 0)], [(0, z0)])))
+    return n, draw(st.permutations(block))
+
+
+@SETTINGS
+@example((21, [(7, 3), (14, 0), (3, 9), (0, 0)]))
+@example((183, [(61, 5), (122, 7), (0, 122)]))
+@given(scaled_blocks())
+def test_least_block_is_least_over_every_unit(case):
+    n, block = case
+    units = [r for r in range(1, n) if gcd(r, n) == 1]
+    want = min(sorted(((r * y) % n, (r * z) % n) for y, z in block) for r in units)
+    assert _least_block(n, block) == want
 
 
 @st.composite
