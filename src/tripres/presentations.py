@@ -71,10 +71,6 @@ class SigmaCycle:
     def as_dict(self) -> dict[int, int]:
         return dict(zip(self.domain, self.images))
 
-    def inverse(self) -> "SigmaCycle":
-        table = {v: u for u, v in zip(self.domain, self.images)}
-        return SigmaCycle(self.n, self.domain, tuple(table[u] for u in self.domain))
-
     def scaled(self, r: int) -> "SigmaCycle":
         """The cycle data of the relabeled set, u -> r*u."""
         n = self.n
@@ -431,9 +427,9 @@ def canonical_form(p: TrianglePresentation) -> tuple[Triple, ...]:
     have the same size, so the copies compare the way those blocks do:
     `_least_block` finds the least one from the units that reach its least
     pair, since no other unit can head a smaller list, and the form is
-    that block shifted by each x.  The catalog names its classes from the
-    same block (see `enumerate_all_invariant`), so the library never calls
-    this; the tests keep it as the oracle for those names.
+    that block shifted by each x.  The catalog groups, pairs and names its
+    classes by the same least block (see `enumerate_all_invariant`), so the
+    library never calls this; the tests keep it as the oracle for all three.
 
     Generator inversion is deliberately *not* part of the reduction group:
     an invariant presentation and its inverse define distinct catalog
@@ -466,13 +462,13 @@ def key_digest(form) -> str:
 _DECIMALS = tuple(map(str, range(max(q * q + q + 1 for q in SUPPORTED_Q))))
 
 
-def _block_digest(n: int, block) -> str:
-    """`key_digest(canonical_form(p))` for the invariant set p with x=0 block `block`.
+def _block_digest(n: int, best) -> str:
+    """`key_digest(canonical_form(p))` for the invariant set p with least x=0 block `best`.
 
-    The text is built from the least block without triple tuples: a
-    doubled decimal table gives the text of y + x mod n for y + x < 2n.
+    `best` is `_least_block` of p's x=0 block, so the text is built from
+    it without triple tuples: a doubled decimal table gives the text of
+    y + x mod n for y + x < 2n.
     """
-    best = _least_block(n, block)
     dec = _DECIMALS[:n] * 2
     parts = []
     for x, rows in _x_blocks(n, best):
@@ -481,29 +477,15 @@ def _block_digest(n: int, block) -> str:
     return _digest(";".join(parts))
 
 
-def _orbit_key(q: int, n: int, b: int, sigma: SigmaCycle):
-    """Class key of an invariant presentation under affine relabelings.
-
-    Only units with r*D = D (the powers of the characteristic) can map one
-    presentation over D-translate difference data to another, so the orbit
-    is scanned over that subgroup.
-    """
-    best = None
-    for r in _multiplier_subgroup(q, n):
-        cand = ((r * b) % n, sigma.scaled(r).images)
-        if best is None or cand < best:
-            best = cand
-    return best
-
-
 @dataclass(frozen=True)
 class InvariantClass:
     """One class of invariant presentations under affine relabeling.
 
     The class is held as its difference data: `members` lists every
-    (b, sigma) in it, and `key_digest` is computed from the first of them
-    without building a triple set.  `representative`, the presentation of
-    that first member, is built on first use.
+    (b, sigma) in it, all with the same least x=0 block, and `key_digest`
+    and `inverse_index` are read from that block without building a triple
+    set.  `representative`, the presentation of the first member, is built
+    on first use.
     """
 
     q: int
@@ -522,38 +504,34 @@ class InvariantClass:
 def enumerate_all_invariant(plane: SingerPlane) -> list[InvariantClass]:
     """All invariant presentations over every shift b, up to affine relabeling.
 
-    Each class is named from its first member (b0, sigma0) alone: the x=0
-    block of `presentation_from_sigma(plane, b0, sigma0)` is
-    {(u, u + sigma0(u)) : u in D + b0}.  `_least_block` finds its least
-    scaling by inverting each pair's leading coordinate, not by trying
-    every unit: a unit that does not bring some pair to the least leading
-    pair heads a larger sorted list.  `_block_digest` then hashes the text
-    of the canonical form straight from that block.  No triple set is
-    built here.
+    The x=0 block of `presentation_from_sigma(plane, b, sigma)` is
+    {(u, u + sigma(u)) : u in D + b}.  Translations fix an invariant set,
+    so two members are affinely equivalent exactly when their blocks have
+    the same least scaling, and `_least_block` of the block is the class
+    key.  The same key pairs and names each class: reversing every triple
+    turns (0, y, z) into (z, y, 0), the translate of (0, y - z, -z), so the
+    generator-inverse class is the one keyed by the least scaling of those
+    pairs, and `_block_digest` hashes the text of the canonical form
+    straight from the key.  No triple set is built here.
     """
     n, q = plane.n_points, plane.q
     groups: dict = {}
     for b in range(n):
         for sigma in enumerate_sigma_cycles(n, admissible_differences(plane, b)):
-            groups.setdefault(_orbit_key(q, n, b, sigma), []).append((b, sigma))
+            block = [(u, (u + v) % n) for u, v in zip(sigma.domain, sigma.images)]
+            groups.setdefault(tuple(_least_block(n, block)), []).append((b, sigma))
 
     index_of = {key: i for i, key in enumerate(groups)}
-    classes = []
-    for i, key in enumerate(groups):
-        members = tuple(groups[key])
-        b0, sigma0 = members[0]
-        block = [(u, (u + v) % n) for u, v in zip(sigma0.domain, sigma0.images)]
-        inv_key = _orbit_key(q, n, b0, sigma0.inverse())
-        classes.append(
-            InvariantClass(
-                q=q,
-                index=i,
-                members=members,
-                key_digest=_block_digest(n, block),
-                inverse_index=index_of[inv_key],
-            )
+    return [
+        InvariantClass(
+            q=q,
+            index=i,
+            members=tuple(members),
+            key_digest=_block_digest(n, key),
+            inverse_index=index_of[tuple(_least_block(n, [((y - z) % n, -z % n) for y, z in key]))],
         )
-    return classes
+        for i, (key, members) in enumerate(groups.items())
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -607,12 +585,17 @@ def read_int(text: str) -> int:
 
 
 def read_utf8(path) -> str:
-    """The input file at `path`, decoded as UTF-8 whatever the locale says."""
+    """The input file at `path`, decoded as UTF-8 whatever the locale says.
+
+    One leading byte order mark is dropped after decoding, so that byte
+    offsets in the not-UTF-8 message count from the start of the file.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
-            return fh.read()
+            text = fh.read()
     except UnicodeDecodeError as err:
         raise ValueError(f"{path} is not UTF-8 text: {err.reason} at byte {err.start}") from None
+    return text.removeprefix("\ufeff")
 
 
 def _translate_form(points, n: int) -> tuple[tuple[int, ...], int]:

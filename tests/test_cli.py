@@ -401,6 +401,29 @@ def test_labels_file(capsys, tmp_path):
     assert "match A.1: A.1 " in out
 
 
+def test_inputs_that_start_with_a_byte_order_mark_are_read(capsys, tmp_path):
+    from tripres.catalog import invariant_catalog
+    from tripres.tables import _bundled_text
+
+    bom = "\ufeff"
+    labels = tmp_path / "labels.txt"
+    labels.write_text(f"{bom}{invariant_catalog(2)[0].key_digest} A.1\n", encoding="utf-8")
+    code, out, _ = run(capsys, "enumerate", "--q", "2", "--all", "--labels", str(labels))
+    assert code == 0
+    assert "\nA.1: b=0" in out
+    code, out, _ = run(capsys, "verify", "--q", "2", "--labels", str(labels))
+    assert code == 0
+    assert "  match A.1: A.1 " in out
+    tp = tmp_path / "class0.tp"
+    tp.write_text(bom + Q2_CLASS0, encoding="utf-8")
+    code, out, _ = run(capsys, "abelianize", "--in", str(tp))
+    assert code == 0
+    assert out.endswith("\n[(3)2,3]\n")
+    data = tmp_path / "tables.txt"
+    data.write_text(bom + _bundled_text(), encoding="utf-8")
+    assert run(capsys, "verify", "--q", "2", "--data", str(data)) == run(capsys, "verify", "--q", "2")
+
+
 def test_labels_are_read_as_utf8_under_a_c_locale(tmp_path):
     from tripres.catalog import invariant_catalog
 
