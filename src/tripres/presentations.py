@@ -205,7 +205,12 @@ def admissible_differences(plane: SingerPlane, b: int) -> tuple[int, ...]:
 
 
 def enumerate_sigma_cycles(n: int, domain) -> list[SigmaCycle]:
-    """All order-3 permutations of `domain` with u + s(u) + s^2(u) = 0 mod n."""
+    """All order-3 permutations of `domain` with u + s(u) + s^2(u) = 0 mod n, by `images`.
+
+    The search fixes the image of the least unassigned u first, trying u
+    itself and then each later v in ascending order, so the cycles come out
+    in ascending `images` order with no sort.  Class indices depend on it.
+    """
     domain = tuple(sorted(domain))
     dset = set(domain)
     if len(dset) != len(domain):
@@ -233,7 +238,6 @@ def enumerate_sigma_cycles(n: int, domain) -> list[SigmaCycle]:
             del assign[u], assign[v], assign[w]
 
     descend(domain)
-    out.sort(key=lambda s: s.images)
     return out
 
 
@@ -598,81 +602,62 @@ def read_utf8(path) -> str:
     return text.removeprefix("\ufeff")
 
 
-def _translate_form(points, n: int) -> tuple[tuple[int, ...], int]:
-    """(form, t) with points = form + t, form the lex-least translate holding 0."""
-    return min(((tuple(sorted((y - t) % n for y in points)), t) for t in points), default=((), 0))
-
-
-@lru_cache(maxsize=None)
-def _scaled_forms(q: int, n: int) -> dict[tuple[int, ...], tuple[int, int]]:
-    """Translate form of s*D -> (s, t with s*D = form + t), per normalized scale s.
-
-    Only the powers of p map D onto a translate of itself, so the forms
-    are distinct.
-    """
-    dset = build_plane(q).difference_set
-    return {
-        form: (s, t)
-        for s in _units(n)
-        if s == _normalize_scale(q, n, s)
-        for form, t in [_translate_form([(s * d) % n for d in dset], n)]
-    }
-
-
 def correspondence(p: TrianglePresentation) -> tuple[int, int, int] | None:
     """(a, b, scale) with lambda(x) = scale*D + a*x + b for all x, or None if T has none.
 
-    The scale is normalized as `_normalize_scale` does.
+    One search over the out-sets: (scale, b) is the unit and shift that
+    carry D onto lambda(0), taking min(lambda(0)) to some scale*d + b, and
+    a is the shift that carries lambda(0) onto lambda(1), taking some y to
+    min(lambda(1)).  Only the powers of p map D onto a translate of itself
+    and no line is a translate of itself, so with the scale normalized as
+    `_normalize_scale` does, the map found is the only one.
     """
+    q, n = p.q, p.n
     lines: defaultdict[int, set[int]] = defaultdict(set)
     for x, y, _ in p.triples:
         lines[x].add(y)
-    return _affine_map(p.q, p.n, lines)
-
-
-def _affine_map(q: int, n: int, lines: dict[int, set[int]]) -> tuple[int, int, int] | None:
-    """`correspondence` of the out-sets `lines`, x -> lambda(x)."""
-    line0 = lines.get(0, ())
-    form, t0 = _translate_form(line0, n)
-    form1, t1 = _translate_form(lines.get(1, ()), n)
-    a = (t1 - t0) % n
-    hit = _scaled_forms(q, n).get(form)
-    if hit is None or form1 != form or len(lines) != n or any(
-        lines.get(x) != {(y + a * x) % n for y in line0} for x in range(2, n)
-    ):
+    line0, line1 = lines.get(0), lines.get(1)
+    if len(lines) != n or not line0 or not line1:
         return None
-    scale, ts = hit
-    return a, (t0 - ts) % n, scale
+    dset = build_plane(q).difference_set
+    y0, y1 = min(line0), min(line1)
+    found = next(
+        (
+            (b, scale)
+            for scale in _units(n)
+            if scale == _normalize_scale(q, n, scale)
+            for b in {(y0 - scale * d) % n for d in dset}
+            if {(scale * d + b) % n for d in dset} == line0
+        ),
+        None,
+    )
+    if found is None:
+        return None
+    for a in {(y1 - y) % n for y in line0}:
+        if all(lines.get(x) == {(y + a * x) % n for y in line0} for x in range(1, n)):
+            return (a, *found)
+    return None
 
 
 def presentation_to_text(p: TrianglePresentation, note: str = "") -> str:
     """The `.tp` text: header lines, then one `x y z` line per rotation class.
 
-    The header's point-line map is read from the rotation classes written,
-    each standing for its three rotations, so T is walked once.  For a
-    rotation-closed T, as every presentation is, this is `correspondence(p)`;
-    in general it is the map of the set the text describes.
+    The header's point-line map is `correspondence(p)`; a presentation
+    without an affine map raises ValueError.  Each line of `note` becomes
+    a `#` comment line, so the reader skips all of it.
     """
-    reps = p.rotation_classes()
-    out_sets: defaultdict[int, set[int]] = defaultdict(set)
-    for x, y, z in reps:
-        out_sets[x].add(y)
-        out_sets[y].add(z)
-        out_sets[z].add(x)
-    derived = _affine_map(p.q, p.n, out_sets)
+    derived = correspondence(p)
     if derived is None:
         raise ValueError("no affine point-line map to write: the header needs scale*D + a*x + b")
     a, b, scale = derived
-    lines = []
-    if note:
-        lines.append(f"# {note}")
+    lines = [f"# {line}" for line in note.splitlines()]
     lines.append(f"q={p.q}")
     lines.append(f"N={p.n}")
     lines.append(f"a={a}")
     lines.append(f"b={b}")
     if scale != 1:
         lines.append(f"scale={scale}")
-    for x, y, z in reps:
+    for x, y, z in p.rotation_classes():
         lines.append(f"{x} {y} {z}")
     return "\n".join(lines) + "\n"
 

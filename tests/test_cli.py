@@ -145,6 +145,19 @@ def test_pipeline_twist_present_abelianize(capsys, tmp_path):
     assert "relator t t t" in out
 
 
+def test_twist_of_a_file_whose_name_holds_a_newline_reads_back(capsys, tmp_path):
+    # the note names the input file, and each of its lines is written as a comment
+    run(capsys, "enumerate", "--q", "2", "--all", "--out-dir", str(tmp_path))
+    base = (tmp_path / "q2_class0.tp").rename(tmp_path / "a\nb=0.tp")
+    twisted = tmp_path / "tw.tp"
+    code, _, _ = run(capsys, "twist", "--in", str(base), "--kind", "q", "--out", str(twisted))
+    assert code == 0
+    assert twisted.read_text().startswith(f"# q twist of {tmp_path}/a\n# b=0.tp\nq=2\n")
+    code, out, err = run(capsys, "abelianize", "--in", str(twisted))
+    assert (code, err) == (0, "")
+    assert out.strip().endswith("[2,3,7]")
+
+
 def test_translation_twist_cli(capsys, tmp_path):
     run(capsys, "enumerate", "--q", "4", "--all", "--out-dir", str(tmp_path))
     base = tmp_path / "q4_class0.tp"

@@ -75,12 +75,15 @@ def test_non_affine_presentation_q2():
 
 
 def test_scaled_copies_of_d_are_distinct_up_to_translation():
-    from tripres.presentations import _normalize_scale, _scaled_forms, _units
+    # `correspondence` relies on this: s*D is a translate of D exactly when s is a power of p
+    from tripres.presentations import _multiplier_subgroup, _units
 
     for q in SUPPORTED_Q:
         n = q * q + q + 1
-        scales = {_normalize_scale(q, n, s) for s in _units(n)}
-        assert sorted(s for s, _ in _scaled_forms(q, n).values()) == sorted(scales), f"q={q}"
+        dset = build_plane(q).difference_set
+        translates = {frozenset((d + t) % n for d in dset) for t in range(n)}
+        fixing = [s for s in _units(n) if frozenset((s * d) % n for d in dset) in translates]
+        assert fixing == sorted(_multiplier_subgroup(q, n)), f"q={q}"
 
 
 def test_sigma_cycle_validation():
@@ -259,6 +262,10 @@ def test_class_identity_matches_the_canonical_form():
     for q in SUPPORTED_Q:
         form = full_scan_canonical_form if q <= 7 else canonical_form
         plane = build_plane(q)
+        # the cycles of each shift come in `images` order, which fixes the class indices
+        for b in range(plane.n_points):
+            cycles = enumerate_sigma_cycles(plane.n_points, admissible_differences(plane, b))
+            assert [s.images for s in cycles] == sorted(s.images for s in cycles), (q, b)
         classes = enumerate_all_invariant(plane)
         forms = [form(c.representative) for c in classes]
         assert len(set(forms)) == len(classes), f"q={q}"
@@ -522,6 +529,10 @@ def test_text_round_trip():
     text = presentation_to_text(p, note="fano demo")
     back = presentation_from_text(text)
     assert back == p
+    # every line of a note is a comment, whatever line break ends it
+    text = presentation_to_text(p, note="a\nb=0\r0 1 2\u2028N=8")
+    assert text.startswith("# a\n# b=0\n# 0 1 2\n# N=8\nq=2\n")
+    assert presentation_from_text(text) == p
     t1 = twist_multiplier(p, 1)
     assert presentation_from_text(presentation_to_text(t1)) == t1
     moved = relabel(p, 3, 0)

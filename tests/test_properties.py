@@ -1,6 +1,6 @@
 """Property tests for the bracket cell grammar, the integer factorizer,
-the least scaled block behind the class names, abelianization and the
-`.tp` presentation reader.
+the least scaled block behind the class names, the point-line map in the
+`.tp` header, abelianization and the `.tp` presentation reader.
 
 Examples are derandomized and the example database is off, so every run
 checks the same inputs.
@@ -8,6 +8,7 @@ checks the same inputs.
 
 import io
 from contextlib import redirect_stderr, redirect_stdout
+from functools import cache
 from math import gcd, prod
 
 import pytest
@@ -19,7 +20,17 @@ from sympy.matrices.normalforms import invariant_factors as sympy_factors
 from tripres.abelian import AbelianGroup, abelianization, relation_matrix
 from tripres.cli import main
 from tripres.gf import SUPPORTED_Q, factorize
-from tripres.presentations import GroupPresentation, TrianglePresentation, _least_block
+from tripres.plane import build_plane
+from tripres.presentations import (
+    GroupPresentation,
+    TrianglePresentation,
+    _least_block,
+    correspondence,
+    enumerate_all_invariant,
+    is_multiplier_fixed,
+    relabel,
+    twist_multiplier,
+)
 from tripres.tables import format_group_cell, parse_group_cell
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=150)
@@ -131,6 +142,42 @@ def test_least_block_is_least_over_every_unit(case):
     units = [r for r in range(1, n) if gcd(r, n) == 1]
     want = min(sorted(((r * y) % n, (r * z) % n) for y, z in block) for r in units)
     assert _least_block(n, block) == want
+
+
+@cache
+def _classes(q):
+    return enumerate_all_invariant(build_plane(q))
+
+
+@st.composite
+def relabeled_classes(draw):
+    """(q, r, T): a class representative at q >= 7, twisted when the draw
+    asks and it is multiplier-fixed, then relabeled by j -> r*j + s."""
+    q = draw(st.sampled_from([q for q in SUPPORTED_Q if q >= 7]))
+    n = q * q + q + 1
+    rep = draw(st.sampled_from(_classes(q))).representative
+    power = draw(st.sampled_from((0, 1, 2)))
+    if power and is_multiplier_fixed(rep):
+        rep = twist_multiplier(rep, power)
+    r = draw(st.sampled_from([u for u in range(1, n) if gcd(u, n) == 1]))
+    return q, r, relabel(rep, r, draw(st.integers(0, n - 1)))
+
+
+@SETTINGS
+@given(relabeled_classes())
+def test_point_line_map_of_a_relabeled_class(case):
+    """lambda(x) = scale*D + a*x + b, from `correspondence`, reproduces every
+    out-set, and scale is the least of r*p^k mod N."""
+    q, r, p = case
+    n = p.n
+    a, b, scale = correspondence(p)
+    dset = build_plane(q).difference_set
+    out_sets = {x: set() for x in range(n)}
+    for x, y, _ in p.triples:
+        out_sets[x].add(y)
+    assert out_sets == {x: {(scale * d + a * x + b) % n for d in dset} for x in range(n)}
+    (char,) = factorint(q)
+    assert scale == min(r * pow(char, k, n) % n for k in range(n))
 
 
 @st.composite
