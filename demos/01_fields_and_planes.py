@@ -1,8 +1,9 @@
 """Fields and Singer planes.
 
-Walks through the deterministic field construction for a few q, the trace
-map down to the subfield, and the trace-zero perfect difference set that
-models the projective plane PG(2,q) on the cyclic group Z_N.
+Walks through the deterministic field construction for a few q, the table
+of powers of the generator x that holds each field, the trace read from that
+table, and the trace-zero perfect difference set that models the projective
+plane PG(2,q) on the cyclic group Z_N.
 """
 
 from tripres.gf import SUPPORTED_Q, build_field, poly_str
@@ -14,9 +15,11 @@ for q in (2, 3, 4):
     print(f"q={q}: GF({f.p}^{f.degree}) with modulus {poly_str(f.modulus)}, generator x")
 
 f = build_field(2)
-g = f.generator
-print("\nIn GF(8): g^3 =", (g * g * g), "and  g + g^2 + g^4 =", g.trace(), "(the trace of g)")
-print("discrete_log(g + 1) =", (g + f.one).log())
+print(f"\nGF(8) as the powers of x modulo {poly_str(f.modulus)}:")
+for k, coeffs in enumerate(f.powers):
+    print(f"  x^{k} = {poly_str(coeffs)}")
+trace = [sum(c) % f.p for c in zip(f.powers[1], f.powers[2], f.powers[4])]
+print(f"Tr(x) = x + x^2 + x^4 = {poly_str(trace)}, so 1 is in D")
 
 print("\n== Trace-zero difference sets ==")
 for q in SUPPORTED_Q:

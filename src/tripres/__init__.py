@@ -22,7 +22,6 @@ from .catalog import TwistOrbit, invariant_catalog
 from .gf import (
     SUPPORTED_Q,
     FieldContext,
-    FieldElement,
     PrimePower,
     build_field,
     prime_power,

@@ -1,9 +1,9 @@
-"""Arithmetic in the cubic extensions GF(q^3) behind the Singer construction.
+"""The cubic extensions GF(q^3) behind the Singer construction.
 
-Every supported field is tiny (at most 13^3 = 2197 elements), so everything
-is exact and table driven: elements are reduced coefficient tuples over
-GF(p), and a precomputed exp/log table for the primitive generator x makes
-multiplication, inversion and discrete logarithms cheap lookups.
+Every supported field is tiny (at most 13^3 = 2197 elements), so a field is
+held as the table of powers of its primitive generator x: x^k for k in
+0..p^d - 2, each a reduced coefficient tuple over GF(p).  The Singer plane
+reads its trace-zero exponents straight from that table.
 
 The defining modulus is chosen deterministically so independent runs (and
 independent implementations following the same rule) agree: among all monic
@@ -62,10 +62,10 @@ def prime_power(q: int) -> PrimePower:
 
 # ---------------------------------------------------------------------------
 # Choosing the modulus.  The shift register that steps x^k mod f is both the
-# primitivity test and the table build: the accepted cycle is the exp table.
+# primitivity test and the table build: the accepted cycle is the power table.
 
 
-def _primitive_modulus(p: int, d: int) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
+def _primitive_modulus(p: int, d: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """The least monic f of degree d over GF(p) for which x is primitive, and x^k mod f.
 
     Candidates f = x^d + c_{d-1}x^{d-1} + ... + c_0 are taken in order of the
@@ -99,90 +99,23 @@ def _primitive_modulus(p: int, d: int) -> tuple[tuple[int, ...], list[tuple[int,
                 break
             powers.append(state)
         if len(powers) == p ** d - 1:
-            return tuple(low) + (1,), powers
+            return tuple(low) + (1,), tuple(powers)
     raise AssertionError(f"no primitive polynomial of degree {d} over GF({p})")
 
 
-# ---------------------------------------------------------------------------
-
-
-class FieldElement:
-    """An element of a FieldContext, stored as a reduced coefficient tuple."""
-
-    __slots__ = ("ctx", "coeffs")
-
-    def __init__(self, ctx: "FieldContext", coeffs: tuple[int, ...]):
-        self.ctx = ctx
-        self.coeffs = coeffs
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FieldElement)
-            and self.ctx is other.ctx
-            and self.coeffs == other.coeffs
-        )
-
-    def __bool__(self) -> bool:
-        return any(self.coeffs)
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        p = self.ctx.p
-        return FieldElement(self.ctx, tuple((x + y) % p for x, y in zip(self.coeffs, other.coeffs)))
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        if not self or not other:
-            return self.ctx.zero
-        return self.ctx.from_log(self.log() + other.log())
-
-    def __pow__(self, n: int) -> "FieldElement":
-        if not self:
-            if n < 0:
-                raise ZeroDivisionError("inverse of zero")
-            return self.ctx.one if n == 0 else self.ctx.zero
-        return self.ctx.from_log(self.log() * n)
-
-    def trace(self) -> "FieldElement":
-        """Tr(a) = a + a^q + a^(q^2), a GF(q)-linear map onto GF(q)."""
-        q = self.ctx.q
-        return self + self ** q + self ** (q * q)
-
-    def log(self) -> int:
-        """k in 0..order-1 with x^k = self."""
-        if not self:
-            raise ValueError("discrete logarithm of zero is undefined")
-        return self.ctx._log[self.coeffs]
-
-    def __repr__(self) -> str:
-        return f"FieldElement({poly_str(self.coeffs)})"
-
-
+@dataclass(frozen=True)
 class FieldContext:
-    """GF(p^d) with d = 3e, a cubic extension of GF(q), and its primitive generator x.
+    """GF(p^d) with d = 3e, a cubic extension of GF(q), by the powers of its generator x.
 
-    Immutable after construction; all operations are pure.
+    modulus has length d+1, monic, constant term first; powers[k] is the
+    coefficient tuple of x^k mod modulus for k in 0..order-1.
     """
 
-    def __init__(self, pp: PrimePower):
-        p, e, q = pp.p, pp.e, pp.q
-        d = 3 * e
-        self.p = p
-        self.q = q
-        self.degree = d
-        self.order = p ** d - 1
-
-        # modulus: length d+1, monic, constant term first; _exp[k] = x^k mod modulus
-        self.modulus, self._exp = _primitive_modulus(p, d)
-        self._log = {c: k for k, c in enumerate(self._exp)}
-        self.zero = FieldElement(self, (0,) * d)
-        self.one = FieldElement(self, self._exp[0])
-        self.generator = FieldElement(self, self._exp[1])
-
-    def from_log(self, k: int) -> FieldElement:
-        """g^k for the primitive generator g = x."""
-        return FieldElement(self, self._exp[k % self.order])
-
-    def __repr__(self) -> str:
-        return f"FieldContext(GF({self.p}^{self.degree}), modulus={poly_str(self.modulus)})"
+    p: int
+    degree: int
+    modulus: tuple[int, ...]
+    powers: tuple[tuple[int, ...], ...]
+    order: int
 
 
 def poly_str(coeffs) -> str:
@@ -204,4 +137,7 @@ def poly_str(coeffs) -> str:
 @lru_cache(maxsize=None)
 def build_field(q: int) -> FieldContext:
     """Build GF(q^3) for a supported q, with the deterministic modulus rule."""
-    return FieldContext(prime_power(q))
+    pp = prime_power(q)
+    d = 3 * pp.e
+    modulus, powers = _primitive_modulus(pp.p, d)
+    return FieldContext(pp.p, d, modulus, powers, pp.p ** d - 1)

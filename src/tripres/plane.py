@@ -52,14 +52,19 @@ class DifferenceSetReport:
 def build_plane(q: int) -> SingerPlane:
     """Points Z_N and the trace-zero difference set for a supported q.
 
-    Tr(c*a) = c*Tr(a) for c in GF(q), so vanishing of the trace depends only
-    on the point g^j GF(q)^x and the set of exponents is well defined mod N.
+    Tr(x^j) = x^j + x^(jq) + x^(jq^2) is summed coefficient by coefficient
+    from the power table of x.  Tr(c*a) = c*Tr(a) for c in GF(q), so
+    vanishing of the trace depends only on the point x^j GF(q)^x and the set
+    of exponents is well defined mod N.
     """
     field = build_field(q)
     n = q * q + q + 1
-    zero = field.zero
-    dset = tuple(j for j in range(n) if field.from_log(j).trace() == zero)
-    return SingerPlane(q=q, n_points=n, difference_set=dset)
+    dset = []
+    for j in range(n):
+        conjugates = (field.powers[j * e % field.order] for e in (1, q, q * q))
+        if not any(sum(c) % field.p for c in zip(*conjugates)):
+            dset.append(j)
+    return SingerPlane(q=q, n_points=n, difference_set=tuple(dset))
 
 
 def check_difference_set(plane: SingerPlane) -> DifferenceSetReport:

@@ -33,6 +33,11 @@ SMALL_Q_FAMILIES = {
 }
 
 
+#: most cyclic factors a cell may expand to; a short `(count)value` item
+#: could otherwise ask for any amount of memory
+MAX_CYCLIC_FACTORS = 10 ** 6
+
+
 class CellParseError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
@@ -72,6 +77,8 @@ def parse_group_cell(text: str) -> tuple[int | None, AbelianGroup]:
             count = int(m["count"])
             if count < 1:
                 raise error("repetition count must be positive", m.end("close"))
+            if len(orders) + count > MAX_CYCLIC_FACTORS:
+                raise error(f"more than {MAX_CYCLIC_FACTORS} cyclic factors", m.start("count"))
         if not m["value"]:
             raise error("expected an integer", m.start("value"))
         value = int(m["value"])

@@ -296,8 +296,13 @@ def test_presentation_file_axioms_are_checked_once(capsys, tmp_path, monkeypatch
         ("|[(2)3,9]|", "|[(\u00b2)3,9]|", "line {ln}: expected an integer in '[(\u00b2)3,9]' (at position 2)"),
         ("|14 [2,(2)3]|", "|1\u2074 [2,(2)3]|", "line {ln}: expected '[' in '1\u2074 [2,(2)3]' (at position 1)"),
         ("|4 [3]|4 [3]", "|4 [" + "7" * 5000 + "]|4 [3]", "line {ln}: Exceeds the limit (4300 digits)"),
+        (
+            "|0 [(6)2,3]|",
+            "|0 [(1000001)2,3]|",
+            "line {ln}: more than 1000000 cyclic factors in '0 [(1000001)2,3]' (at position 4)",
+        ),
     ],
-    ids=["q", "underscore-q", "cell", "superscript-count", "superscript-rank", "digit-limit"],
+    ids=["q", "underscore-q", "cell", "superscript-count", "superscript-rank", "digit-limit", "factor-bound"],
 )
 def test_malformed_dataset_line_is_named(capsys, tmp_path, old, new, message):
     from tripres.tables import _bundled_text

@@ -1,6 +1,6 @@
 import pytest
 
-from tripres.gf import SUPPORTED_Q, FieldElement, build_field, poly_str, prime_power
+from tripres.gf import SUPPORTED_Q, build_field, poly_str, prime_power
 
 
 def test_prime_power_decomposition():
@@ -21,7 +21,7 @@ def test_q2_modulus_and_generator():
     # Exhaustive check in code below; the selected modulus is x^3 + x + 1, g = x.
     f = build_field(2)
     assert poly_str(f.modulus) == "x^3 + x + 1"
-    assert f.generator == FieldElement(f, (0, 1, 0))
+    assert f.powers[:2] == ((1, 0, 0), (0, 1, 0))
 
 
 # q -> (modulus, sha256 of repr([g^k coefficient tuple for k in 0..order-1])).
@@ -46,19 +46,19 @@ def test_fields_pinned():
         f = build_field(q)
         modulus, digest = PINNED_FIELDS[q]
         assert poly_str(f.modulus) == modulus, f"q={q}"
-        powers = repr([f.from_log(k).coeffs for k in range(f.order)])
+        assert len(f.powers) == f.order, f"q={q}"
+        powers = repr(list(f.powers))
         assert hashlib.sha256(powers.encode()).hexdigest() == digest, f"q={q}"
-        assert f.generator == FieldElement(f, (0, 1) + (0,) * (f.degree - 2)), f"q={q}"
+        assert f.powers[1] == (0, 1) + (0,) * (f.degree - 2), f"q={q}"
 
 
 def test_q2_reduction_matches_polynomial_division():
-    # g * g^2 = g^3 reduces to g + 1 under x^3 = x + 1.
+    # x^3 reduces to x + 1 under x^3 = x + 1.
     f = build_field(2)
-    g = f.generator
-    assert g * (g * g) == FieldElement(f, (1, 1, 0))
+    assert f.powers[3] == (1, 1, 0)
     # oracle: naive remainder of x^3 by x^3+x+1 over GF(2)
     rem = _poly_rem([0, 0, 0, 1], [1, 1, 0, 1], 2)
-    assert FieldElement(f, tuple(rem)) == g * g * g
+    assert f.powers[3] == tuple(rem)
 
 
 def _poly_rem(a, f, p):
@@ -75,18 +75,21 @@ def _poly_rem(a, f, p):
 
 def test_char2_squaring():
     f = build_field(2)
-    a = FieldElement(f, (1, 1, 0))  # x + 1
-    assert a * a == FieldElement(f, (1, 0, 1))  # x^2 + 1
+    # x + 1 = x^3, so (x + 1)^2 = x^6 = x^2 + 1
+    assert f.powers[3] == (1, 1, 0)
+    assert f.powers[6] == (1, 0, 1)
+    assert _poly_rem(_poly_mul(f.powers[3], f.powers[3], 2), f.modulus, 2) == [1, 0, 1]
 
 
 def test_primitivity_all_q():
     for q in SUPPORTED_Q:
         f = build_field(q)
-        g = f.generator
-        assert g ** f.order == f.one
-        # order is exactly p^d - 1: no proper divisor exponent collapses to 1
-        for r in _prime_divisors(f.order):
-            assert g ** (f.order // r) != f.one
+        one = (1,) + (0,) * (f.degree - 1)
+        assert f.powers[0] == one
+        # x^order = x * x^(order-1) is 1 again, and x^0 .. x^(order-1) are
+        # distinct, so x has order exactly p^d - 1
+        assert _poly_rem(_poly_mul([0, 1], f.powers[-1], f.p), f.modulus, f.p) == list(one)
+        assert len(set(f.powers)) == f.order == f.p ** f.degree - 1
 
 
 def _prime_divisors(n):
@@ -104,94 +107,54 @@ def _prime_divisors(n):
 
 
 def test_field_axioms_small():
+    # the table multiplies as polynomials mod f: x^i * x^j = x^(i+j), and
+    # x^(order-i) is the inverse of x^i
     for q in (2, 3, 4):
         f = build_field(q)
-        size = f.order + 1
-        elems = [f.zero] + [f.from_log(k) for k in range(f.order)]
-        for a in elems:
-            assert a + f.zero == a
-            if a:
-                assert a * a ** -1 == f.one
-                assert a ** -1 == a ** (size - 2)
-        # spot associativity / distributivity on a few triples
-        for a in elems[:5]:
-            for b in elems[:5]:
-                for c in elems[:5]:
-                    assert (a + b) + c == a + (b + c)
-                    assert a * (b + c) == a * b + a * c
+        one = list(f.powers[0])
+        for i in range(f.order):
+            inverse = f.powers[-i % f.order]
+            assert _poly_rem(_poly_mul(f.powers[i], inverse, f.p), f.modulus, f.p) == one
+            for j in range(0, f.order, 5):
+                product = _poly_rem(_poly_mul(f.powers[i], f.powers[j], f.p), f.modulus, f.p)
+                assert tuple(product) == f.powers[(i + j) % f.order]
 
 
-def test_lagrange_all_nonzero():
-    for q in SUPPORTED_Q:
-        f = build_field(q)
-        size = f.order + 1
-        for k in range(0, f.order, max(1, f.order // 97)):
-            a = f.from_log(k)
-            assert a ** (size - 1) == f.one
+def _trace(f, q, k):
+    """Tr(x^k) = x^k + x^(kq) + x^(kq^2), read from the power table."""
+    terms = (f.powers[k * e % f.order] for e in (1, q, q * q))
+    return tuple(sum(c) % f.p for c in zip(*terms))
 
 
 def test_trace_q2_examples():
     f = build_field(2)
-    g = f.generator
-    # Tr(g) = g + g^2 + g^4 = 0 with x^3 = x + 1
-    assert g.trace() == f.zero
-    assert f.zero.trace() == f.zero
-    assert f.one.trace() == f.one  # 1 + 1 + 1 in characteristic 2
-
-
-def test_trace_additive_and_linear():
-    for q in (3, 4, 9):
-        f = build_field(q)
-        sub = _subfield(f)
-        elems = [f.from_log(k) for k in range(0, f.order, max(1, f.order // 23))]
-        for a in elems:
-            assert a.trace() ** f.q == a.trace()
-            for b in elems[:7]:
-                assert (a + b).trace() == a.trace() + b.trace()
-            for lam in sub:
-                assert (lam * a).trace() == lam * a.trace()
-
-
-def _subfield(f):
-    """GF(q) inside GF(q^3): {0} and g^(k(q^3-1)/(q-1)) for k = 0..q-2."""
-    step = f.order // (f.q - 1)
-    return [f.zero] + [f.from_log(k * step) for k in range(f.q - 1)]
+    # Tr(x) = x + x^2 + x^4 = 0 with x^3 = x + 1
+    assert _trace(f, 2, 1) == (0, 0, 0)
+    assert _trace(f, 2, 0) == (1, 0, 0)  # 1 + 1 + 1 in characteristic 2
 
 
 def test_frobenius_fixes_exactly_subfield():
+    # a -> a^q, by square-and-multiply mod f, sends x^k to x^(kq) and fixes
+    # exactly the q - 1 powers x^k with (q^3 - 1)/(q - 1) dividing k
     for q in (2, 3, 4, 5, 9):
         f = build_field(q)
-        elems = [f.zero] + [f.from_log(k) for k in range(f.order)]
-        fixed = [a for a in elems if a ** f.q == a]
-        assert len(fixed) == q
-        assert set(a.coeffs for a in fixed) == set(a.coeffs for a in _subfield(f))
+        for k in range(0, f.order, max(1, f.order // 97)):
+            image = tuple(_poly_pow(f.powers[k], q, f.modulus, f.p))
+            assert image == f.powers[k * q % f.order]
+        fixed = [k for k in range(f.order) if f.powers[k * q % f.order] == f.powers[k]]
+        step = f.order // (q - 1)
+        assert fixed == list(range(0, f.order, step))
 
 
 def test_trace_surjective_with_even_fibers():
     for q in (2, 3, 4, 5):
         f = build_field(q)
-        fibers = {}
-        for a in [f.zero] + [f.from_log(k) for k in range(f.order)]:
-            fibers.setdefault(a.trace().coeffs, 0)
-            fibers[a.trace().coeffs] += 1
+        fibers = {(0,) * f.degree: 1}  # Tr(0) = 0
+        for k in range(f.order):
+            t = _trace(f, q, k)
+            fibers[t] = fibers.get(t, 0) + 1
         assert len(fibers) == q
         assert all(v == q * q for v in fibers.values())
-
-
-def test_discrete_log():
-    f = build_field(2)
-    assert f.one.log() == 0
-    assert f.generator.log() == 1
-    assert FieldElement(f, (1, 1, 0)).log() == 3  # g^3 = g + 1
-    with pytest.raises(ValueError):
-        f.zero.log()
-
-
-def test_discrete_log_inverts_exp():
-    for q in (2, 3, 4, 11):
-        f = build_field(q)
-        for k in range(0, f.order, max(1, f.order // 151)):
-            assert f.from_log(k).log() == k
 
 
 def _poly_mul(a, b, p):
@@ -202,20 +165,23 @@ def _poly_mul(a, b, p):
     return out
 
 
+def _poly_pow(a, k, f, p):
+    """a^k modulo the monic f over GF(p), by square-and-multiply."""
+    result, base = _poly_rem([1], f, p), list(a)
+    while k:
+        if k & 1:
+            result = _poly_rem(_poly_mul(result, base, p), f, p)
+        base = _poly_rem(_poly_mul(base, base, p), f, p)
+        k >>= 1
+    return result
+
+
 def _x_has_order(n, f, p):
     """Whether x has multiplicative order exactly n modulo the monic f over GF(p)."""
-
-    def x_pow(k):
-        result, base = [1], [0, 1]
-        while k:
-            if k & 1:
-                result = _poly_rem(_poly_mul(result, base, p), f, p)
-            base = _poly_rem(_poly_mul(base, base, p), f, p)
-            k >>= 1
-        return result
-
     one = _poly_rem([1], f, p)
-    return x_pow(n) == one and all(x_pow(n // r) != one for r in _prime_divisors(n))
+    return _poly_pow([0, 1], n, f, p) == one and all(
+        _poly_pow([0, 1], n // r, f, p) != one for r in _prime_divisors(n)
+    )
 
 
 def test_modulus_is_value_minimal_primitive():

@@ -8,18 +8,50 @@ def test_q2_difference_set():
     assert plane.difference_set == (1, 2, 4)
 
 
+def _poly_mul(a, b, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] = (out[i + j] + ai * bj) % p
+    return out
+
+
+def _poly_rem(a, f, p):
+    """a modulo the monic f over GF(p), padded to len(f) - 1 coefficients."""
+    a = list(a)
+    d = len(f) - 1
+    while len(a) > d:
+        c = a.pop()
+        for i in range(d):
+            a[len(a) - d + i] = (a[len(a) - d + i] - c * f[i]) % p
+    return a + [0] * (d - len(a))
+
+
+def _x_power(k, f, p):
+    """x^k modulo the monic f over GF(p), by square-and-multiply."""
+    result, base = _poly_rem([1], f, p), [0, 1]
+    while k:
+        if k & 1:
+            result = _poly_rem(_poly_mul(result, base, p), f, p)
+        base = _poly_rem(_poly_mul(base, base, p), f, p)
+        k >>= 1
+    return result
+
+
 def test_q2_difference_set_against_trace_brute_force():
-    # independent oracle: brute-force the trace over coefficient vectors
+    # independent oracle: Tr(x^j) = x^j + x^(jq) + x^(jq^2) by polynomial
+    # arithmetic modulo the field's modulus, for every supported q
     from tripres.gf import build_field
 
-    f = build_field(2)
-    byhand = []
-    for j in range(7):
-        a = f.from_log(j)
-        t = a + a ** 2 + a ** 4
-        if t == f.zero:
-            byhand.append(j)
-    assert tuple(byhand) == build_plane(2).difference_set
+    for q in SUPPORTED_Q:
+        f = build_field(q)
+        n = q * q + q + 1
+        byhand = []
+        for j in range(n):
+            terms = [_x_power(j * e, f.modulus, f.p) for e in (1, q, q * q)]
+            if not any(sum(c) % f.p for c in zip(*terms)):
+                byhand.append(j)
+        assert tuple(byhand) == build_plane(q).difference_set, f"q={q}"
 
 
 def test_sizes_all_q():

@@ -4,6 +4,7 @@ import pytest
 
 from tripres.abelian import AbelianGroup
 from tripres.catalog import invariant_catalog
+from tripres.gf import factorize
 from tripres.tables import (
     CellParseError,
     EXPECTED_ROW_COUNTS,
@@ -71,6 +72,8 @@ def test_parse_errors_carry_position():
         ("[(]", "expected an integer", 2),
         ("[(3 2]", "expected ')'", 3),
         ("[(0)2]", "repetition count must be positive", 4),
+        ("[(1000001)2]", "more than 1000000 cyclic factors", 2),
+        ("[(999999)2,(2)3]", "more than 1000000 cyclic factors", 12),
         ("[(2) 3]", "expected an integer", 4),
         ("[( 2)3]", "expected an integer", 2),
         ("[1]", "torsion order 1 < 2", 2),
@@ -96,6 +99,11 @@ def test_long_repetition_parses_in_linear_time():
     rank, g = parse_group_cell("[(200000)2]")
     assert time.perf_counter() - start < 1.0
     assert rank is None and g.divisors == (2,) * 200000
+
+
+def test_cell_at_the_factor_bound_parses():
+    rank, g = parse_group_cell("[(999999)2,(1)3]")
+    assert g.divisors == (2,) * 999998 + (6,)
 
 
 def test_many_distinct_orders_parse_quickly():
@@ -148,6 +156,33 @@ def test_k_ranks_agree_where_present(ds):
     missing = ds.get(9, "Semiregular 2'")
     assert missing.k0_mod_id.rank is None
     assert missing.k0.rank == 434
+
+
+def _p_exponents(group):
+    """{prime: exponents of its primary factors, largest first} of a torsion group."""
+    out = {}
+    for order in group.primary_factors:
+        ((prime, k),) = factorize(order).items()
+        out.setdefault(prime, []).append(k)
+    return {prime: sorted(ks, reverse=True) for prime, ks in out.items()}
+
+
+def test_k_columns_agree_with_each_other(ds):
+    # K0/<[id]> is K0 modulo one cyclic subgroup, so at each prime the two
+    # torsion parts interlace, and the torsion shrinks by a factor of q - 1
+    unranked = []
+    for r in ds.rows:
+        a_by_p, b_by_p = _p_exponents(r.k0.torsion), _p_exponents(r.k0_mod_id.torsion)
+        for prime in a_by_p.keys() | b_by_p.keys():
+            a, b = a_by_p.get(prime, []), b_by_p.get(prime, [])
+            width = max(len(a), len(b)) + 1
+            a, b = a + [0] * (width - len(a)), b + [0] * (width - len(b))
+            assert all(a[i] >= b[i] >= a[i + 1] for i in range(width - 1)), (r.q, r.name, prime)
+        ratio, rest = divmod(r.k0.torsion.order(), r.k0_mod_id.torsion.order())
+        assert rest == 0 and (r.q - 1) % ratio == 0, (r.q, r.name)
+        unranked += [(r.q, r.name, c) for c in ("k0", "k0_mod_id") if getattr(r, c).rank is None]
+    assert len(ds.rows) == 170
+    assert unranked == [(9, "Semiregular 2'", "k0_mod_id")]
 
 
 def test_round_trip_every_cell(ds):
