@@ -8,6 +8,7 @@ the prime 3, the torsion of K0/<[id]> tends to be two copies of gamma_ab.
 
 from tripres.catalog import invariant_catalog
 from tripres.tables import (
+    format_group_cell,
     heuristic_survey,
     load_dataset,
     twice_heuristic,
@@ -18,8 +19,8 @@ ds = load_dataset()
 print(f"dataset: {len(ds.rows)} rows over q in {ds.qs()}")
 
 row = ds.get(2, "A.2")
-print(f"\nsample row q=2 A.2: gamma_ab={row.gamma_ab} K0={row.k0.normalized()} "
-      f"K0/<[id]>={row.k0_mod_id.normalized()}  doubling: {twice_heuristic(row)}")
+print(f"\nsample row q=2 A.2: gamma_ab={row.gamma_ab} K0={format_group_cell(*row.k0)} "
+      f"K0/<[id]>={format_group_cell(*row.k0_mod_id)}  doubling: {twice_heuristic(row)}")
 
 print("\nrecomputing gamma_ab for every q and matching the tables:")
 report = verify_abelianizations(ds, {q: invariant_catalog(q) for q in ds.qs()})

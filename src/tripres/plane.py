@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .gf import build_field
 
@@ -22,13 +22,9 @@ class SingerPlane:
     n_points: int
     difference_set: tuple[int, ...]
 
-    @cached_property
-    def _members(self) -> frozenset[int]:
-        return frozenset(self.difference_set)
-
     def incident(self, point: int, line: int) -> bool:
         """point lies on line_k = D + k iff point - k falls in D."""
-        return (point - line) % self.n_points in self._members
+        return (point - line) % self.n_points in self.difference_set
 
     def line_points(self, line: int) -> tuple[int, ...]:
         n = self.n_points

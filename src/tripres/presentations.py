@@ -32,11 +32,11 @@ import re
 from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import combinations
 from math import gcd
 
-from .gf import SUPPORTED_Q, prime_power
+from .gf import SUPPORTED_Q
 from .plane import SingerPlane, build_plane
 
 Triple = tuple[int, int, int]
@@ -266,26 +266,6 @@ def enumerate_invariant(plane: SingerPlane, b: int) -> list[TrianglePresentation
 
 # ---------------------------------------------------------------------------
 # Transformations
-
-
-def _units(n: int) -> tuple[int, ...]:
-    return tuple(r for r in range(1, n) if gcd(r, n) == 1)
-
-
-@lru_cache(maxsize=None)
-def _multiplier_subgroup(q: int, n: int) -> tuple[int, ...]:
-    """Powers of the characteristic p mod n: the units with r*D = D."""
-    p = prime_power(q).p
-    out = [1]
-    r = p % n
-    while r != 1:
-        out.append(r)
-        r = (r * p) % n
-    return tuple(out)
-
-
-def _normalize_scale(q: int, n: int, scale: int) -> int:
-    return min((scale * m) % n for m in _multiplier_subgroup(q, n))
 
 
 def relabel(p: TrianglePresentation, r: int, s: int) -> TrianglePresentation:
@@ -609,8 +589,9 @@ def correspondence(p: TrianglePresentation) -> tuple[int, int, int] | None:
     carry D onto lambda(0), taking min(lambda(0)) to some scale*d + b, and
     a is the shift that carries lambda(0) onto lambda(1), taking some y to
     min(lambda(1)).  Only the powers of p map D onto a translate of itself
-    and no line is a translate of itself, so with the scale normalized as
-    `_normalize_scale` does, the map found is the only one.
+    and no line is a translate of itself, so the map is unique once the
+    scale is fixed within its coset s*<p>; the ascending search returns
+    that coset's least unit.
     """
     q, n = p.q, p.n
     lines: defaultdict[int, set[int]] = defaultdict(set)
@@ -621,11 +602,13 @@ def correspondence(p: TrianglePresentation) -> tuple[int, int, int] | None:
         return None
     dset = build_plane(q).difference_set
     y0, y1 = min(line0), min(line1)
+    # the units carrying D onto lambda(0) form one coset s*<p>, so the
+    # first one found is its least element
     found = next(
         (
             (b, scale)
-            for scale in _units(n)
-            if scale == _normalize_scale(q, n, scale)
+            for scale in range(1, n)
+            if gcd(scale, n) == 1
             for b in {(y0 - scale * d) % n for d in dset}
             if {(scale * d + b) % n for d in dset} == line0
         ),
@@ -717,7 +700,12 @@ def presentation_from_text(text: str) -> TrianglePresentation:
     if violations:
         raise PresentationFormatError("not a triangle presentation: " + "; ".join(violations))
     derived = correspondence(p)
-    if derived != (header["a"], header["b"], _normalize_scale(q, n, scale)):
+    # u*D = D only for the powers u of p, so scale names the derived map
+    # exactly when it carries D onto the same set as the derived scale does
+    dset = build_plane(q).difference_set
+    if derived is None or derived[:2] != (header["a"], header["b"]) or (
+        {scale * d % n for d in dset} != {derived[2] * d % n for d in dset}
+    ):
         found = "a={} b={} scale={}".format(*derived) if derived else "no affine map"
         given = f"a={header['a']} b={header['b']} scale={scale}"
         raise PresentationFormatError(f"header {given} does not match the triples' point-line map: {found}")

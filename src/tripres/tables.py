@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from importlib import resources
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .abelian import AbelianGroup, away_from, direct_double
 from .catalog import TwistOrbit
@@ -53,7 +53,12 @@ _ITEM = re.compile(
 )
 
 
-def parse_group_cell(text: str) -> tuple[int | None, AbelianGroup]:
+class GroupCell(NamedTuple):
+    rank: int | None
+    torsion: AbelianGroup
+
+
+def parse_group_cell(text: str) -> GroupCell:
     """Parse `m [a,(j)b,...]` into (optional free rank, torsion group)."""
 
     def error(message: str, position: int) -> CellParseError:
@@ -90,26 +95,13 @@ def parse_group_cell(text: str) -> tuple[int | None, AbelianGroup]:
         pos, sep = m.end(), m["sep"]
     if pos != len(text):
         raise error("trailing text", pos)
-    return rank, AbelianGroup.from_primary(orders)
+    return GroupCell(rank, AbelianGroup.from_primary(orders))
 
 
 def format_group_cell(rank: int | None, group: AbelianGroup) -> str:
     """Normalized bracket form; inverse of parse on structured values."""
     body = str(group)
     return body if rank is None else f"{rank} {body}"
-
-
-@dataclass(frozen=True)
-class GroupCell:
-    rank: int | None
-    torsion: AbelianGroup
-
-    @classmethod
-    def parse(cls, text: str) -> "GroupCell":
-        return cls(*parse_group_cell(text))
-
-    def normalized(self) -> str:
-        return format_group_cell(self.rank, self.torsion)
 
 
 @dataclass(frozen=True)
@@ -171,7 +163,7 @@ def load_dataset(path=None) -> Dataset:
         seen.add(key)
         try:
             g_rank, gamma = parse_group_cell(gamma_s)
-            k0, k0_mod_id = GroupCell.parse(k0_s), GroupCell.parse(k0m_s)
+            k0, k0_mod_id = parse_group_cell(k0_s), parse_group_cell(k0m_s)
         except ValueError as err:  # a CellParseError, or int()'s digit limit
             raise ValueError(f"line {ln}: {err}") from None
         if g_rank not in (None, 0):

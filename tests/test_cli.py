@@ -272,6 +272,21 @@ def test_header_scale_is_read_up_to_powers_of_p(capsys, tmp_path):
     assert code == 0
     assert twisted.read_text().splitlines()[1:5] == ["q=2", "N=7", "a=2", "b=0"]
     assert "scale=" not in twisted.read_text()
+    # at q=4 the coset 5*<2> mod 21 is {5, 10, 20, 19, 17, 13}: each of those
+    # names the map of class 0 relabeled by 5, and no other unit does
+    from tripres.plane import build_plane
+    from tripres.presentations import enumerate_all_invariant, presentation_to_text, relabel
+
+    p = relabel(enumerate_all_invariant(build_plane(4))[0].representative, 5, 0)
+    text = presentation_to_text(p)
+    assert "\nscale=5\n" in text
+    for scale, expected in [(5, 0), (10, 0), (13, 0), (17, 0), (19, 0), (20, 0), (1, 2), (2, 2)]:
+        scaled.write_text(text.replace("scale=5", f"scale={scale}"))
+        code, out, err = run(capsys, "abelianize", "--in", str(scaled))
+        assert code == expected, scale
+        if expected:
+            assert out == "" and err.count("\n") == 1
+            assert err.startswith("error: ") and err.rstrip().endswith("scale=5")
 
 
 def test_presentation_file_axioms_are_checked_once(capsys, tmp_path, monkeypatch):

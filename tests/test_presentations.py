@@ -5,7 +5,7 @@ from math import gcd
 import pytest
 
 from tripres.abelian import abelianization
-from tripres.gf import SUPPORTED_Q
+from tripres.gf import SUPPORTED_Q, prime_power
 from tripres.plane import build_plane
 from tripres.presentations import (
     SigmaCycle,
@@ -76,14 +76,15 @@ def test_non_affine_presentation_q2():
 
 def test_scaled_copies_of_d_are_distinct_up_to_translation():
     # `correspondence` relies on this: s*D is a translate of D exactly when s is a power of p
-    from tripres.presentations import _multiplier_subgroup, _units
-
     for q in SUPPORTED_Q:
         n = q * q + q + 1
+        pp = prime_power(q)
+        units = [s for s in range(1, n) if gcd(s, n) == 1]
+        powers_of_p = {pow(pp.p, k, n) for k in range(3 * pp.e)}
         dset = build_plane(q).difference_set
         translates = {frozenset((d + t) % n for d in dset) for t in range(n)}
-        fixing = [s for s in _units(n) if frozenset((s * d) % n for d in dset) in translates]
-        assert fixing == sorted(_multiplier_subgroup(q, n)), f"q={q}"
+        fixing = [s for s in units if frozenset((s * d) % n for d in dset) in translates]
+        assert fixing == sorted(powers_of_p), f"q={q}"
 
 
 def test_sigma_cycle_validation():
