@@ -34,7 +34,6 @@ from .presentations import enumerate_all_invariant, group_presentation, twist_mu
 
 @dataclass(frozen=True)
 class TwistOrbit:
-    q: int
     index: int
     base: AbelianGroup
     twist_q: AbelianGroup
@@ -61,7 +60,6 @@ def invariant_catalog(q: int) -> tuple[TwistOrbit, ...]:
             g2 = abelianization(group_presentation(twist_multiplier(rep, 2)))
         orbits.append(
             TwistOrbit(
-                q=q,
                 index=cls.index,
                 base=base,
                 twist_q=g1,

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 SUPPORTED_Q = (2, 3, 4, 5, 7, 8, 9, 11, 13)
 
@@ -37,27 +38,19 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
-@dataclass(frozen=True)
-class PrimePower:
+class PrimePower(NamedTuple):
     """A supported prime power q = p^e."""
 
     p: int
     e: int
-    q: int
-
-    def __post_init__(self) -> None:
-        if factorize(self.p) != {self.p: 1}:
-            raise ValueError(f"p={self.p} is not prime")
-        if self.e < 1 or self.p ** self.e != self.q:
-            raise ValueError(f"q={self.q} is not p^e for p={self.p}, e={self.e}")
 
 
 def prime_power(q: int) -> PrimePower:
-    """Factor a supported q into (p, e, q)."""
+    """Factor a supported q into (p, e)."""
     if q not in SUPPORTED_Q:
         raise ValueError(f"unsupported q={q}; supported values: {SUPPORTED_Q}")
     (p, e), = factorize(q).items()
-    return PrimePower(p, e, q)
+    return PrimePower(p, e)
 
 
 # ---------------------------------------------------------------------------

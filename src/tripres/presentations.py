@@ -244,7 +244,11 @@ def enumerate_sigma_cycles(n: int, domain) -> list[SigmaCycle]:
 def presentation_from_sigma(
     plane: SingerPlane, b: int, sigma: SigmaCycle
 ) -> TrianglePresentation:
-    """The invariant presentation of `sigma`, a cycle on the differences D + b."""
+    """The invariant presentation of `sigma`, a cycle on the differences D + b.
+
+    `b` is not read, since sigma's domain already is D + b; it stays for
+    positional callers.
+    """
     n = plane.n_points
     table = sigma.as_dict()
     triples = frozenset(

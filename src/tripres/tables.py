@@ -25,11 +25,12 @@ LINEARITY_CLASSES = ("function-field", "p-adic", "nonlinear", "unspecified")
 #: rows the survey expects to fail the doubling heuristic, outside q=3
 PUBLISHED_NON_Q3_FAILURES = ((2, "B.2"), (5, "Voskuil"))
 
-#: the twist chains published for q = 2 and q = 3; the primed rows are the
-#: second enumerated class and carry no twist rows of their own
+#: the (family, twist level) of each q = 2, 3 row in a published twist chain;
+#: the primed rows are the second enumerated class and carry no twist rows of
+#: their own, and no other row of these q is in the catalog
 SMALL_Q_FAMILIES = {
-    2: (("A.1", ("A.1", "A.2", "A.3")), ("A.1'", ("A.1'", None, None))),
-    3: (("1.1", ("1.1", "1.2", "1.3")), ("1.1'", ("1.1'", None, None))),
+    2: {"A.1": ("A.1", 0), "A.2": ("A.1", 1), "A.3": ("A.1", 2), "A.1'": ("A.1'", 0)},
+    3: {"1.1": ("1.1", 0), "1.2": ("1.1", 1), "1.3": ("1.1", 2), "1.1'": ("1.1'", 0)},
 }
 
 
@@ -234,16 +235,26 @@ def heuristic_survey(ds: Dataset) -> SurveyResult:
 _PRIME_SUFFIX = re.compile(r"^(?P<stem>.*?)(?P<primes>'{0,2})$")
 
 
-def _split_name(name: str) -> tuple[str, int]:
+def _family_of(q: int, name: str) -> tuple[str, int] | None:
+    """The (family, twist level) of one table row, or None if no family takes it.
+
+    For q = 2, 3 the published chains are A.1 -> A.2 -> A.3 and
+    1.1 -> 1.2 -> 1.3, with the primed rows as separate base-only families;
+    for q >= 4 the table names encode the twist level by trailing primes.
+    Voskuil rows have no triangle presentations here and are never families.
+    """
+    if name == "Voskuil":
+        return None
+    if q in SMALL_Q_FAMILIES:
+        return SMALL_Q_FAMILIES[q].get(name)
     m = _PRIME_SUFFIX.match(name)
-    return m.group("stem").strip(), len(m.group("primes"))
+    return m["stem"].strip(), len(m["primes"])
 
 
 @dataclass(frozen=True)
 class Family:
     """A table family: a base row and its twist rows, if published."""
 
-    q: int
     name: str
     cells: tuple[AbelianGroup | None, AbelianGroup | None, AbelianGroup | None]
 
@@ -256,32 +267,18 @@ class Family:
 
 
 def published_families(ds: Dataset, q: int) -> list[Family]:
-    """Group the constructible rows of one q into twist families.
+    """Group the rows of one q into twist families.
 
-    For q >= 4 the table names encode the twist level by trailing primes;
-    for q = 2, 3 the published chains are A.1 -> A.2 -> A.3 and
-    1.1 -> 1.2 -> 1.3, with the primed rows as separate base-only families.
-    Voskuil rows have no triangle presentations here and are never families.
+    One rule, `_family_of`, places each row of every q in its family at its
+    twist level; families come in the order of their first row.
     """
-    rows = {r.name: r for r in ds.by_q(q)}
-    out: list[Family] = []
-    if q in SMALL_Q_FAMILIES:
-        for fam_name, names in SMALL_Q_FAMILIES[q]:
-            cells = tuple(
-                rows[n].gamma_ab if n is not None else None for n in names
-            )
-            out.append(Family(q=q, name=fam_name, cells=cells))
-        return out
-    grouped: dict[str, dict[int, PaperRow]] = {}
+    grouped: dict[str, dict[int, AbelianGroup]] = {}
     for r in ds.by_q(q):
-        if r.name == "Voskuil":
-            continue
-        stem, level = _split_name(r.name)
-        grouped.setdefault(stem, {})[level] = r
-    for stem, levels in grouped.items():
-        cells = tuple(levels[i].gamma_ab if i in levels else None for i in range(3))
-        out.append(Family(q=q, name=stem, cells=cells))
-    return out
+        family = _family_of(q, r.name)
+        if family is not None:
+            name, level = family
+            grouped.setdefault(name, {})[level] = r.gamma_ab
+    return [Family(name, tuple(levels.get(i) for i in range(3))) for name, levels in grouped.items()]
 
 
 @dataclass(frozen=True)
@@ -348,16 +345,11 @@ def verify_abelianizations(
 
         skipped = tuple(
             (r.name, "no triangle presentation given for this group")
-            for r in ds.by_q(q)
             if r.name == "Voskuil"
+            else (r.name, "not in the invariant-presentation catalog")
+            for r in ds.by_q(q)
+            if _family_of(q, r.name) is None
         )
-        if q in SMALL_Q_FAMILIES:
-            covered = {n for _, names in SMALL_Q_FAMILIES[q] for n in names if n}
-            skipped += tuple(
-                (r.name, "not in the invariant-presentation catalog")
-                for r in ds.by_q(q)
-                if r.name not in covered
-            )
         sections.append(
             QVerification(
                 q=q,

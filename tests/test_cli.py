@@ -166,6 +166,25 @@ def test_translation_twist_cli(capsys, tmp_path):
     assert code == 0
     code, out, _ = run(capsys, "abelianize", "--in", str(out_b))
     assert out.strip().endswith("[(2)3]")
+    for kind, group in [("q2", "[(2)2,(2)3,7]"), ("transC", "[(2)3]")]:
+        twisted = tmp_path / f"{kind}.tp"
+        code, _, _ = run(capsys, "twist", "--in", str(base), "--kind", kind, "--out", str(twisted))
+        assert code == 0
+        code, out, _ = run(capsys, "abelianize", "--in", str(twisted))
+        assert (code, out.strip().splitlines()[-1]) == (0, group)
+    # with no --out the twist goes to stdout: the header, its note, then q=4
+    code, out, err = run(capsys, "twist", "--in", str(base), "--kind", "q")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[0].startswith("# generated-by: tripres") and lines[3] == "q=4"
+    # the extension adds a generator t, t^3 and t x t^-1 = phi(x) for each of
+    # the 21 points to the 35 relators of the base
+    for phi in ("q2", "transB", "transC"):
+        code, out, _ = run(capsys, "present", "--in", str(base), "--extended", phi)
+        lines = out.splitlines()
+        assert code == 0 and "generators 22" in lines
+        assert sum(line.startswith("relator ") for line in lines) == 57
+        assert ("relator t x0 t^-1 x7^-1" in lines) == (phi == "transB")
 
 
 def test_twist_rejects_translation_for_bad_q(capsys, tmp_path):
@@ -287,6 +306,11 @@ def test_header_scale_is_read_up_to_powers_of_p(capsys, tmp_path):
         if expected:
             assert out == "" and err.count("\n") == 1
             assert err.startswith("error: ") and err.rstrip().endswith("scale=5")
+    # a scale that is not a unit mod N names no map at all
+    scaled.write_text(text.replace("scale=5", "scale=3"))
+    code, out, err = run(capsys, "abelianize", "--in", str(scaled))
+    assert (code, out) == (2, "")
+    assert err == "error: header scale=3 is not coprime to N=21\n"
 
 
 def test_presentation_file_axioms_are_checked_once(capsys, tmp_path, monkeypatch):
@@ -316,8 +340,28 @@ def test_presentation_file_axioms_are_checked_once(capsys, tmp_path, monkeypatch
             "|0 [(1000001)2,3]|",
             "line {ln}: more than 1000000 cyclic factors in '0 [(1000001)2,3]' (at position 4)",
         ),
+        ("2|B.1|p-adic|", "2|B.1 p-adic|", "line {ln}: expected 6 '|'-separated fields"),
+        ("2|B.1|p-adic|", "2|B.1|padic|", "line {ln}: unknown linearity class 'padic'"),
+        ("2|B.1|p-adic|[3]|", "2|B.1|p-adic|1 [3]|", "line {ln}: gamma_ab cell has a free part: '1 [3]'"),
+        ("2|C.1|p-adic|[(2)2,3]|0 [(4)2,3]|0 [(4)2,3]\n", "", "row counts {{2: 8, 3: 90, 4: 6,"),
+        ("2|B.1|p-adic|", "2|B.1|nonlinear|", "q=2 has no nonlinear rows"),
+        ("|[(4)3]|26 [2]|26 []", "|[(4)3]|26 [2]|27 []", "(3, 1.1): K-group ranks disagree"),
     ],
-    ids=["q", "underscore-q", "cell", "superscript-count", "superscript-rank", "digit-limit", "factor-bound"],
+    ids=[
+        "q",
+        "underscore-q",
+        "cell",
+        "superscript-count",
+        "superscript-rank",
+        "digit-limit",
+        "factor-bound",
+        "five-fields",
+        "linearity-class",
+        "gamma-free-rank",
+        "row-count",
+        "nonlinear-q2",
+        "k-ranks-disagree",
+    ],
 )
 def test_malformed_dataset_line_is_named(capsys, tmp_path, old, new, message):
     from tripres.tables import _bundled_text
@@ -403,6 +447,29 @@ def test_verify_reports_failures(capsys, tmp_path, old, new, report):
         + Q2_SKIPPED
         + "verification FAILED\n"
     )
+
+
+@pytest.mark.parametrize(
+    "q, old, new, exit_code, line",
+    [
+        ("2", "2|A.2|", "2|A.9|", 0, "  skipped A.9: not in the invariant-presentation catalog"),
+        ("2", "2|A.1|", "2|A.9|", 1, "  UNMATCHED family A.1"),
+        ("3", "3|1.1'|", "3|9.9|", 0, "  skipped 9.9: not in the invariant-presentation catalog"),
+    ],
+    ids=["q2-twist-row", "q2-base-row", "q3-primed-row"],
+)
+def test_verify_reads_a_renamed_chain_row(capsys, tmp_path, q, old, new, exit_code, line):
+    # a q=2,3 row outside the published chains is skipped; a chain that lost
+    # its base row cannot be matched
+    from tripres.tables import _bundled_text
+
+    text = _bundled_text()
+    assert old in text
+    edited = tmp_path / "tables.txt"
+    edited.write_text(text.replace(old, new, 1))
+    code, out, err = run(capsys, "verify", "--q", q, "--data", str(edited))
+    assert (code, err) == (exit_code, "")
+    assert line in out.splitlines()
 
 
 def test_verify_rejects_unknown_q(capsys):
